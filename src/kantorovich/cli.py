@@ -76,7 +76,7 @@ def _space_for(metric, *measures) -> GroundSpace:
 
 
 def _emit(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def run(config: JobConfig) -> tuple[int, str]:

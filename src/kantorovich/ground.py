@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .points import COORD_TOL, Point, as_point, coordinates, is_coordinate, points_equal
+from .points import Point, as_point, is_coordinate, points_equal
 
 #: Geometry tolerance for axiom checks and zero-distance identification.
 GEOMETRY_TOL = 1e-12
@@ -23,20 +23,29 @@ class MetricAxiomError(ValueError):
     """A sampled pair or triple violates the pseudometric axioms."""
 
 
-def _coords_pair(x: Point, y: Point, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    if not is_coordinate(x) or not is_coordinate(y):
-        raise ValueError(f"{kind} metric requires coordinate points, got {x!r} and {y!r}")
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return np.asarray(x, float), np.asarray(y, float)
+def _coord_arrays(xs: Sequence[Point], ys: Sequence[Point], kind: str):
+    """Arrays of two nonempty coordinate point lists; canonicalizes only if needed."""
+    arrays = []
+    for pts in (xs, ys):
+        if not all(map(is_coordinate, pts)):
+            pts = [as_point(p) for p in pts]
+            bad = [p for p in pts if not is_coordinate(p)]
+            if bad:
+                raise ValueError(f"{kind} metric requires coordinate points, got {bad[0]!r}")
+        arrays.append(np.array(pts, dtype=float))
+    a, b = arrays
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    return a, b
 
 
 class GroundMetric:
     """Base class for ground (pseudo)metrics.
 
-    Subclasses implement ``_raw``; the optional ``cap`` truncates the
-    distance at ``min(d, cap)``, which preserves all pseudometric axioms.
-    Instances are immutable and safe to share between threads.
+    Built-in metrics implement ``pairwise``; a scalar call is its 1x1 case.
+    ``_raw`` is the per-entry extension point for user metrics. The optional
+    ``cap`` truncates the distance at ``min(d, cap)``, which preserves all
+    pseudometric axioms. Instances are immutable and thread-safe.
     """
 
     kind = "abstract"
@@ -52,22 +61,19 @@ class GroundMetric:
         raise NotImplementedError
 
     def _capped(self, d):
-        if self.cap is None:
-            return d
-        return np.minimum(d, self.cap)
+        return d if self.cap is None else np.minimum(d, self.cap)
 
     def __call__(self, x, y) -> float:
-        d = self._raw(as_point(x), as_point(y))
-        return float(self._capped(d))
+        return float(self.pairwise([as_point(x)], [as_point(y)])[0, 0])
 
     def distance(self, x, y) -> float:
         return self(x, y)
 
     def pairwise(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
-        """Distance matrix between two point lists."""
-        return np.array([[self(x, y) for y in ys] for x in xs], dtype=float).reshape(
-            len(xs), len(ys)
-        )
+        """Distance matrix between two point lists, canonicalized as needed."""
+        xs, ys = [as_point(x) for x in xs], [as_point(y) for y in ys]
+        d = np.array([[self._raw(x, y) for y in ys] for x in xs], dtype=float)
+        return self._capped(d.reshape(len(xs), len(ys)))
 
     def __repr__(self):
         cap = f", cap={self.cap}" if self.cap is not None else ""
@@ -75,25 +81,15 @@ class GroundMetric:
 
 
 class _NormMetric(GroundMetric):
-    """Coordinate metric induced by a norm, with a vectorized pairwise path."""
+    """Coordinate metric induced by a norm."""
 
     def _norm_matrix(self, diff: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _raw(self, x, y):
-        a, b = _coords_pair(x, y, self.kind)
-        return float(self._norm_matrix((a - b)[None, None, :])[0, 0])
-
     def pairwise(self, xs, ys):
-        try:
-            a = np.array([coordinates(p) for p in xs], dtype=float)
-            b = np.array([coordinates(p) for p in ys], dtype=float)
-        except ValueError:
-            return super().pairwise(xs, ys)
         if len(xs) == 0 or len(ys) == 0:
             return np.zeros((len(xs), len(ys)))
-        if a.shape[1] != b.shape[1]:
-            raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+        a, b = _coord_arrays(xs, ys, self.kind)
         return self._capped(self._norm_matrix(a[:, None, :] - b[None, :, :]))
 
 
@@ -123,8 +119,10 @@ class Discrete(GroundMetric):
 
     kind = "discrete"
 
-    def _raw(self, x, y):
-        return 0.0 if points_equal(x, y) else 1.0
+    def pairwise(self, xs, ys):
+        xs, ys = [as_point(x) for x in xs], [as_point(y) for y in ys]
+        same = np.array([[points_equal(x, y) for y in ys] for x in xs], dtype=bool)
+        return self._capped(np.where(same.reshape(len(xs), len(ys)), 0.0, 1.0))
 
 
 class TableMetric(GroundMetric):
@@ -158,8 +156,9 @@ class TableMetric(GroundMetric):
                 return j
         raise ValueError(f"unknown label {p!r} for table metric")
 
-    def _raw(self, x, y):
-        return float(self.table[self._lookup(x), self._lookup(y)])
+    def pairwise(self, xs, ys):
+        i, j = ([self._lookup(as_point(p)) for p in pts] for pts in (xs, ys))
+        return self._capped(self.table[np.ix_(i, j)])
 
 
 class PullbackMetric(GroundMetric):
@@ -176,8 +175,10 @@ class PullbackMetric(GroundMetric):
         self.f = f
         self.inner = inner
 
-    def _raw(self, x, y):
-        return self.inner(self.f(x), self.f(y))
+    def pairwise(self, xs, ys):
+        fx = [as_point(self.f(as_point(x))) for x in xs]
+        fy = fx if ys is xs else [as_point(self.f(as_point(y))) for y in ys]
+        return self._capped(self.inner.pairwise(fx, fy))
 
 
 class MaxMetric(GroundMetric):
@@ -195,9 +196,6 @@ class MaxMetric(GroundMetric):
             if set(t.points) != set(tables[0].points):
                 raise ValueError("incompatible point sets in max combination")
         self.parts = parts
-
-    def _raw(self, x, y):
-        return max(p(x, y) for p in self.parts)
 
     def pairwise(self, xs, ys):
         stacked = np.stack([p.pairwise(xs, ys) for p in self.parts])
@@ -217,9 +215,6 @@ class QuotientMetric(GroundMetric):
         super().__init__(cap)
         self.pseudometric = pseudometric
 
-    def _raw(self, x, y):
-        return self.pseudometric(x, y)
-
     def pairwise(self, xs, ys):
         return self._capped(self.pseudometric.pairwise(xs, ys))
 
@@ -228,9 +223,6 @@ class ZeroMetric(GroundMetric):
     """The zero pseudometric; the unit of max combination."""
 
     kind = "zero"
-
-    def _raw(self, x, y):
-        return 0.0
 
     def pairwise(self, xs, ys):
         return np.zeros((len(xs), len(ys)))
@@ -375,16 +367,15 @@ def quotient(
     ``p`` is validated against the pseudometric axioms first.
     """
     validate_pseudometric(space.points, p, tol=tol)
-    reps: list[Point] = []
+    pts = space.points
+    d = p.pairwise(pts, pts)
+    reps: list[int] = []
     mapping: dict[Point, Point] = {}
-    for pt in space.points:
-        for r in reps:
-            if p(pt, r) <= tol:
-                mapping[pt] = r
-                break
-        else:
-            reps.append(pt)
-            mapping[pt] = pt
+    for i, pt in enumerate(pts):
+        r = next((r for r in reps if d[i, r] <= tol), i)
+        if r == i:
+            reps.append(i)
+        mapping[pt] = pts[r]
 
     def projection(x) -> Point:
         q = as_point(x)
@@ -396,7 +387,7 @@ def quotient(
                 return r
         raise ValueError(f"point {x!r} does not belong to the quotient domain")
 
-    return GroundSpace(reps, QuotientMetric(p)), projection
+    return GroundSpace([pts[r] for r in reps], QuotientMetric(p)), projection
 
 
 _SIMPLE_KINDS = {

@@ -455,8 +455,10 @@ def run_law_suite(seed: int, samples: int = 200, tol: float | None = None) -> li
     """Run every law with independent seeded generators.
 
     The seed fully determines every instance, so identical calls produce
-    identical reports.
+    identical reports. No law can pass on zero samples.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     children = np.random.SeedSequence(seed).spawn(len(LAW_RUNNERS))
     reports: list[LawReport] = []
     for runner, child in zip(LAW_RUNNERS, children):

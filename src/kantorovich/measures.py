@@ -28,6 +28,8 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[list[Point], np.ndarray]:
     w = np.asarray(list(weights), dtype=float)
     if len(pts) != len(w):
         raise ValueError(f"{len(pts)} atoms but {len(w)} weights")
+    if not np.isfinite(w).all():
+        raise ValueError("non-finite weight")
     if (w < 0).any():
         raise ValueError("negative weight")
     # exact-duplicate merge first (hash-based), then a tolerance pass
@@ -267,8 +269,11 @@ def measure_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> FiniteMeasure:
     for i, entry in enumerate(atoms):
         if not isinstance(entry, dict) or "point" not in entry or "w" not in entry:
             raise ValueError(f"atom {i} must be an object with 'point' and 'w'")
-        pts.append(point_from_json(entry["point"]))
-        ws.append(float(entry["w"]))
+        try:
+            pts.append(point_from_json(entry["point"]))
+            ws.append(float(entry["w"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"atom {i}: {exc}") from None
     return FiniteMeasure(pts, ws, mass_tol=mass_tol)
 
 

@@ -44,6 +44,8 @@ class SecondOrderMeasure:
         w = np.asarray(list(weights), dtype=float)
         if len(atoms) != len(w):
             raise ValueError(f"{len(atoms)} atoms but {len(w)} weights")
+        if not np.isfinite(w).all():
+            raise ValueError("non-finite weight")
         if (w < 0).any():
             raise ValueError("negative weight")
         support: list[FiniteMeasure] = []

@@ -34,7 +34,10 @@ def as_point(obj: Any) -> Point:
     Strings stay labels, numbers become 1-dimensional coordinate points,
     sequences of numbers become coordinate tuples, and any other sequence
     becomes a product point with each entry canonicalized recursively.
+    A canonical coordinate point is returned as it is.
     """
+    if type(obj) is tuple and obj and all(type(e) is float for e in obj):
+        return obj
     if isinstance(obj, str):
         return obj
     if isinstance(obj, bool):
@@ -50,10 +53,6 @@ def as_point(obj: Any) -> Point:
             return tuple(float(e) for e in obj)
         return tuple(as_point(e) for e in obj)
     raise TypeError(f"cannot interpret {obj!r} as a point")
-
-
-def is_label(p: Point) -> bool:
-    return isinstance(p, str)
 
 
 def is_coordinate(p: Point) -> bool:

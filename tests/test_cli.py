@@ -117,3 +117,61 @@ def test_stdout_emission(capsys):
     out = capsys.readouterr().out
     assert json.loads(out) == {"cost": 3.0}
     assert out.endswith("\n")
+
+
+GOLDEN = FIX / "golden"
+
+
+def test_golden_bytes_match_captured_output(tmp_path):
+    # cmd<k>.json is the output of GOLDEN_COMMANDS[k]; captured once and
+    # kept byte for byte, so a change of any emitted digit shows here
+    for k, argv in enumerate(GOLDEN_COMMANDS):
+        got = run_to_bytes(argv, tmp_path, f"g{k}")
+        assert got == (GOLDEN / f"cmd{k}.json").read_bytes(), f"command {argv} changed its output"
+    got = run_to_bytes(["laws", "--seed", "42", "--samples", "20"], tmp_path, "glaws")
+    assert got == (GOLDEN / "laws_seed42_samples20.json").read_bytes()
+
+
+def _write(tmp_path, name, text) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_nan_weight_exits_2(tmp_path, capsys):
+    bad = _write(tmp_path, "nan.json", '{"atoms": [{"point": [0], "w": NaN}]}')
+    ok = str(FIX / "delta0.json")
+    assert main(["dist", bad, ok, "--metric", "euclidean"]) == 2
+    captured = capsys.readouterr()
+    assert "non-finite weight" in captured.err and captured.out == ""
+    bad2 = _write(
+        tmp_path,
+        "nan2.json",
+        '{"atoms": [{"measure": {"atoms": [{"point": [1], "w": 1.0}]}, "w": NaN},'
+        ' {"measure": {"atoms": [{"point": [2], "w": 1.0}]}, "w": 0.5}]}',
+    )
+    assert main(["dist2", str(FIX / "m2_delta0.json"), bad2, "--metric", "euclidean"]) == 2
+    assert "non-finite weight" in capsys.readouterr().err
+
+
+def test_emit_rejects_non_finite_numbers():
+    from kantorovich.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"cost": float("nan")})
+
+
+@pytest.mark.parametrize(
+    "atom", ['{"point": true, "w": 1.0}', '{"point": {}, "w": 1.0}', '{"point": [0], "w": null}']
+)
+def test_malformed_json_atom_exits_2(tmp_path, capsys, atom):
+    bad = _write(tmp_path, "bad_atom.json", f'{{"atoms": [{atom}]}}')
+    ok = str(FIX / "delta0.json")
+    assert main(["dist", bad, ok, "--metric", "euclidean"]) == 2
+    assert "atom 0" in capsys.readouterr().err
+
+
+def test_laws_zero_samples_exits_2(capsys):
+    assert main(["laws", "--seed", "42", "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "samples" in captured.err and captured.out == ""

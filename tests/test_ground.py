@@ -8,8 +8,10 @@ from kantorovich.ground import (
     GroundMetric,
     GroundSpace,
     Manhattan,
+    MaxMetric,
     MetricAxiomError,
     PullbackMetric,
+    QuotientMetric,
     TableMetric,
     ZeroMetric,
     coordinate_projection,
@@ -199,3 +201,98 @@ def test_metric_from_spec_forms():
         metric_from_spec({"kind": "nope"})
     with pytest.raises(ValueError):
         metric_from_spec("not json at all {{{")
+
+
+COORD_PTS = [(0.0, 0.0), (0.25, 1.0), (3.0, 4.0), (0.25, -2.0)]
+LABEL_PTS = ["a", "b", "c"]
+PRODUCT_PTS = [((0.0,), "a"), ((1.0,), "b"), ((1.0,), "a")]
+LABEL_TABLE = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]
+
+
+def _builtin_metrics(cap):
+    """Every built-in metric kind, with the point lists it is defined on."""
+    first = coordinate_projection([0])
+    coord_table = TableMetric(COORD_PTS, Euclidean().pairwise(COORD_PTS, COORD_PTS), cap=cap)
+    label_table = TableMetric(LABEL_PTS, LABEL_TABLE, cap=cap)
+    product_table = TableMetric(PRODUCT_PTS, [[0, 1, 1], [1, 0, 1], [1, 1, 0]], cap=cap)
+    to_plane = {"a": (0.0, 0.0), "b": (1.0, 0.0), "c": (0.0, 1.0)}.__getitem__
+    yield COORD_PTS, [
+        Euclidean(cap=cap),
+        Manhattan(cap=cap),
+        Chebyshev(cap=cap),
+        Discrete(cap=cap),
+        ZeroMetric(cap=cap),
+        coord_table,
+        PullbackMetric(first, Manhattan(), cap=cap),
+        MaxMetric([Euclidean(), Discrete(), PullbackMetric(first, Chebyshev())], cap=cap),
+        QuotientMetric(PullbackMetric(first, Euclidean()), cap=cap),
+    ]
+    yield LABEL_PTS, [
+        Discrete(cap=cap),
+        ZeroMetric(cap=cap),
+        label_table,
+        PullbackMetric(to_plane, Euclidean(), cap=cap),
+        MaxMetric([Discrete(), TableMetric(LABEL_PTS, LABEL_TABLE)], cap=cap),
+        QuotientMetric(label_table, cap=cap),
+    ]
+    yield PRODUCT_PTS, [
+        Discrete(cap=cap),
+        ZeroMetric(cap=cap),
+        product_table,
+        PullbackMetric(lambda p: p[0], Euclidean(), cap=cap),
+        MaxMetric([Discrete(), product_table], cap=cap),
+        QuotientMetric(PullbackMetric(lambda p: p[1], Discrete()), cap=cap),
+    ]
+
+
+@pytest.mark.parametrize("cap", [None, 0.5])
+def test_pairwise_entries_equal_scalar_calls_exactly(cap):
+    kinds = set()
+    for pts, metrics in _builtin_metrics(cap):
+        xs = pts
+        for m in metrics:
+            kinds.add(m.kind)
+            for ys in (pts[::-1][:2], xs):  # the second shares the list object
+                d = m.pairwise(xs, ys)
+                assert d.shape == (len(xs), len(ys))
+                for i, x in enumerate(xs):
+                    for j, y in enumerate(ys):
+                        assert d[i, j] == m(x, y), (m, x, y)
+            assert m.pairwise([], xs).shape == (0, len(xs))
+            assert m.pairwise(xs, []).shape == (len(xs), 0)
+    assert kinds == {
+        "euclidean", "manhattan", "chebyshev", "discrete", "zero", "table", "pullback", "max", "quotient-of"
+    }
+
+
+def test_pairwise_canonicalizes_other_point_forms():
+    raw, canonical = [(0, 0), np.array([3, 4]), [3, 4.5]], [(0.0, 0.0), (3.0, 4.0), (3.0, 4.5)]
+    for m in [
+        Euclidean(cap=4.0),
+        Discrete(),
+        TableMetric(canonical, Chebyshev().pairwise(canonical, canonical)),
+        PullbackMetric(lambda p: p[1:], Manhattan()),
+    ]:
+        assert m.pairwise(raw, raw[:2]).tolist() == m.pairwise(canonical, canonical[:2]).tolist()
+    with pytest.raises(ValueError, match="requires coordinate points"):
+        Euclidean().pairwise(["a"], [(0.0,)])
+    with pytest.raises(ValueError, match="requires coordinate points"):
+        Manhattan()("a", "b")
+
+
+def test_metric_defining_only_raw_works_everywhere():
+    class FirstCoordinate(GroundMetric):
+        def _raw(self, x, y):
+            return abs(x[0] - y[0])
+
+    m = FirstCoordinate(cap=2.5)
+    assert m((0, 7), (1, 9)) == 1.0
+    assert m((0,), (10,)) == 2.5
+    pts = [(0.0, 1.0), (0.0, 2.0), (1.0, 0.0), (4.0, 4.0)]
+    d = m.pairwise(pts, pts)
+    assert d.tolist() == [[m(x, y) for y in pts] for x in pts]
+    validate_pseudometric(pts, m)
+    q, proj = quotient(GroundSpace(pts, m), m)
+    assert q.points == ((0.0, 1.0), (1.0, 0.0), (4.0, 4.0))
+    assert proj((0.0, 2.0)) == (0.0, 1.0)
+    assert q.distance((0.0, 1.0), (4.0, 4.0)) == 2.5

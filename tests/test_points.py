@@ -40,3 +40,11 @@ def test_rejects_non_points():
         as_point([])
     with pytest.raises(ValueError):
         coordinates("a")
+
+
+def test_canonical_coordinate_point_returned_as_is():
+    p = (0.5, 1.0)
+    assert as_point(p) is p
+    q = as_point((np.float64(1.0),))
+    assert q == (1.0,) and all(type(e) is float for e in q)
+    assert as_point((1, 2.5)) == (1.0, 2.5)
