@@ -26,7 +26,7 @@ from .monad import (
     second_order_distance,
     second_order_from_json,
 )
-from .points import point_to_json, points_equal
+from .points import distinct_points, point_to_json
 from .transport import kantorovich
 
 
@@ -62,17 +62,9 @@ def _resolve_metric(spec: str | None):
     return metric_from_spec(spec)
 
 
-def _dedup(points):
-    out = []
-    for p in points:
-        if all(not points_equal(p, q) for q in out):
-            out.append(p)
-    return out
-
-
 def _space_for(metric, *measures) -> GroundSpace:
     pts = [p for mu in measures for p in mu.support]
-    return GroundSpace(_dedup(pts), metric)
+    return GroundSpace(distinct_points(pts), metric)
 
 
 def _emit(payload) -> str:

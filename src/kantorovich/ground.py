@@ -9,11 +9,12 @@ quotient of a space by the zero-distance classes of a pseudometric.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .points import Point, as_point, is_coordinate, points_equal
+from .points import Point, PointIndex, as_point, is_coordinate, is_finite, points_equal
 
 #: Geometry tolerance for axiom checks and zero-distance identification.
 GEOMETRY_TOL = 1e-12
@@ -145,16 +146,16 @@ class TableMetric(GroundMetric):
         self._index = {p: i for i, p in enumerate(self.points)}
         if len(self._index) != k:
             raise ValueError("table points must be distinct")
+        self._near = PointIndex(self.points)
         _validate_matrix_axioms(self.table)
 
     def _lookup(self, p: Point) -> int:
         i = self._index.get(p)
-        if i is not None:
-            return i
-        for q, j in self._index.items():
-            if points_equal(p, q):
-                return j
-        raise ValueError(f"unknown label {p!r} for table metric")
+        if i is None:
+            i = self._near.find(p)
+            if i is None:
+                raise ValueError(f"unknown label {p!r} for table metric")
+        return i
 
     def pairwise(self, xs, ys):
         i, j = ([self._lookup(as_point(p)) for p in pts] for pts in (xs, ys))
@@ -272,9 +273,16 @@ class GroundSpace:
         dims = {len(p) for p in pts if is_coordinate(p)}
         if len(dims) > 1:
             raise ValueError(f"coordinate points must share one dimension, got {sorted(dims)}")
+        bad = next((p for p in pts if not is_finite(p)), None)
+        if bad is not None:
+            raise ValueError(f"coordinates must be finite, got {bad!r}")
         self.points = pts
         self.metric = metric
         self._diameter: float | None = None
+
+    @cached_property
+    def _index(self) -> PointIndex:
+        return PointIndex(self.points)
 
     def distance(self, x, y) -> float:
         return self.metric(x, y)
@@ -293,8 +301,7 @@ class GroundSpace:
         return iter(self.points)
 
     def __contains__(self, p):
-        q = as_point(p)
-        return any(points_equal(q, r) for r in self.points)
+        return self._index.find(as_point(p)) is not None
 
     def __repr__(self):
         return f"<GroundSpace {len(self.points)} points, metric={self.metric.kind!r}>"
@@ -307,6 +314,8 @@ def distance(space: GroundSpace, x, y) -> float:
 
 def _validate_matrix_axioms(d: np.ndarray, tol: float = GEOMETRY_TOL) -> None:
     """Check a full distance matrix for the pseudometric axioms."""
+    if not np.isfinite(d).all():
+        raise MetricAxiomError("distances must be finite, got a non-finite entry")
     if (d < -tol).any():
         raise MetricAxiomError("negative distance in table")
     if (np.abs(np.diag(d)) > tol).any():
@@ -382,10 +391,12 @@ def quotient(
         hit = mapping.get(q)
         if hit is not None:
             return hit
-        for known, r in mapping.items():
-            if points_equal(q, known):
-                return r
-        raise ValueError(f"point {x!r} does not belong to the quotient domain")
+        # the earliest point equal to q is also the first of its exact value,
+        # so it is a key of mapping
+        i = space._index.find(q)
+        if i is None:
+            raise ValueError(f"point {x!r} does not belong to the quotient domain")
+        return mapping[pts[i]]
 
     return GroundSpace([pts[r] for r in reps], QuotientMetric(p)), projection
 

@@ -4,6 +4,11 @@ Measures are immutable: a tuple of distinct support points plus positive
 weights. Construction merges duplicate atoms, drops zero weights, and
 renormalizes, so downstream marginal constraints stay consistent and
 measure equality is structural.
+
+Two atoms are the same point when :func:`points_equal` accepts them. A new
+atom joins the earliest kept atom it equals, found through a
+:class:`PointIndex`; since the tolerance is not transitive, input order can
+decide which atoms merge.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .points import COORD_TOL, Point, as_point, point_from_json, point_to_json, points_equal
+from .points import Point, PointIndex, as_point, is_finite, point_from_json, point_to_json
 
 #: Tolerance on the weight sum accepted at construction, and on weight
 #: comparison in measure equality.
@@ -23,7 +28,7 @@ class PartitionError(ValueError):
     """Cells overlap on the support or fail to cover it."""
 
 
-def _merged_atoms(atoms: Iterable, weights) -> tuple[list[Point], np.ndarray]:
+def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     pts = [as_point(a) for a in atoms]
     w = np.asarray(list(weights), dtype=float)
     if len(pts) != len(w):
@@ -32,46 +37,48 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[list[Point], np.ndarray]:
         raise ValueError("non-finite weight")
     if (w < 0).any():
         raise ValueError("negative weight")
-    # exact-duplicate merge first (hash-based), then a tolerance pass
-    order: list[Point] = []
-    acc: dict[Point, float] = {}
+    # exact duplicates add up first; then each distinct point, in order of
+    # first appearance, adds its total to the earliest kept atom it equals
+    index = PointIndex()
+    first: dict[Point, int] = {}
+    totals: list[float] = []
+    slots: list[int] = []
     for p, wi in zip(pts, w):
         if wi == 0.0:
+            # dropped, but still an input that must be a valid point
+            if not is_finite(p):
+                raise ValueError(f"coordinates must be finite, got {p!r}")
             continue
-        if p in acc:
-            acc[p] += wi
+        k = first.get(p)
+        if k is None:
+            first[p] = len(totals)
+            totals.append(wi)
+            slots.append(index.find_or_add(p))
         else:
-            acc[p] = wi
-            order.append(p)
-    support: list[Point] = []
-    merged: list[float] = []
-    for p in order:
-        for i, q in enumerate(support):
-            if points_equal(p, q, COORD_TOL):
-                merged[i] += acc[p]
-                break
-        else:
-            support.append(p)
-            merged.append(acc[p])
-    return support, np.asarray(merged, dtype=float)
+            totals[k] += wi
+    merged = [0.0] * len(index.points)
+    for i, t in zip(slots, totals):
+        merged[i] += t
+    return index, np.asarray(merged, dtype=float)
 
 
 class SubProbabilityMeasure:
     """Finitely supported measure with total mass in (0, 1]."""
 
-    __slots__ = ("_support", "_weights")
+    __slots__ = ("_support", "_weights", "_index")
 
     def __init__(self, atoms: Iterable, weights):
-        support, w = _merged_atoms(atoms, weights)
-        if len(support) == 0:
+        index, w = _merged_atoms(atoms, weights)
+        if len(w) == 0:
             raise ValueError("measure needs at least one atom of positive weight")
         total = float(w.sum())
         if total > 1.0 + 1e-12:
             raise ValueError(f"total mass {total:.12g} exceeds 1")
-        self._store(support, w)
+        self._store(index, w)
 
-    def _store(self, support: Sequence[Point], w: np.ndarray) -> None:
-        self._support = tuple(support)
+    def _store(self, index: PointIndex, w: np.ndarray) -> None:
+        self._index = index
+        self._support = tuple(index.points)
         w = np.asarray(w, dtype=float)
         w.flags.writeable = False
         self._weights = w
@@ -91,12 +98,13 @@ class SubProbabilityMeasure:
     def items(self):
         return zip(self._support, self._weights)
 
+    def index_of(self, point) -> int | None:
+        """Position of the earliest support atom equal to ``point``, if any."""
+        return self._index.find(as_point(point))
+
     def weight_of(self, point) -> float:
-        q = as_point(point)
-        for p, w in self.items():
-            if points_equal(p, q):
-                return float(w)
-        return 0.0
+        i = self.index_of(point)
+        return 0.0 if i is None else float(self._weights[i])
 
     def __len__(self):
         return len(self._support)
@@ -116,13 +124,13 @@ class FiniteMeasure(SubProbabilityMeasure):
     __slots__ = ()
 
     def __init__(self, atoms: Iterable, weights, *, mass_tol: float = WEIGHT_TOL):
-        support, w = _merged_atoms(atoms, weights)
-        if len(support) == 0:
+        index, w = _merged_atoms(atoms, weights)
+        if len(w) == 0:
             raise ValueError("measure needs at least one atom of positive weight")
         total = float(w.sum())
         if abs(total - 1.0) > mass_tol:
             raise ValueError(f"weights sum to {total:.12g}, expected 1")
-        self._store(support, w / total)
+        self._store(index, w / total)
 
     @classmethod
     def from_dict(cls, mapping: dict, **kwargs) -> "FiniteMeasure":
@@ -221,21 +229,28 @@ def integrate(mu: SubProbabilityMeasure, f: Callable[[Point], float]) -> float:
     return float(sum(w * float(f(p)) for p, w in mu.items()))
 
 
+def _matched_atoms(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure):
+    """For each atom of ``mu`` in order, the position of the earliest atom of
+    ``eta`` that equals it and is not matched yet, or ``None``."""
+    used = [False] * len(eta)
+    for p in mu.support:
+        for j in eta._index.matches(p):
+            if not used[j]:
+                used[j] = True
+                break
+        else:
+            j = None
+        yield j
+
+
 def measures_equal(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure, tol: float = WEIGHT_TOL) -> bool:
     """Structural equality: same atom set, weights within ``tol``."""
     if mu is eta:
         return True
     if len(mu) != len(eta):
         return False
-    used = [False] * len(eta)
-    for p, w in mu.items():
-        for j, (q, v) in enumerate(eta.items()):
-            if not used[j] and points_equal(p, q):
-                if abs(float(w) - float(v)) > tol:
-                    return False
-                used[j] = True
-                break
-        else:
+    for w, j in zip(mu.weights, _matched_atoms(mu, eta)):
+        if j is None or abs(float(w) - float(eta.weights[j])) > tol:
             return False
     return True
 
@@ -243,17 +258,15 @@ def measures_equal(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure, tol: f
 def measure_deviation(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure) -> float:
     """Largest atomwise weight discrepancy; unmatched atoms count in full."""
     dev = 0.0
-    used = [False] * len(eta)
-    for p, w in mu.items():
-        for j, (q, v) in enumerate(eta.items()):
-            if not used[j] and points_equal(p, q):
-                dev = max(dev, abs(float(w) - float(v)))
-                used[j] = True
-                break
-        else:
+    matched = set()
+    for w, j in zip(mu.weights, _matched_atoms(mu, eta)):
+        if j is None:
             dev = max(dev, float(w))
-    for j, (_, v) in enumerate(eta.items()):
-        if not used[j]:
+        else:
+            matched.add(j)
+            dev = max(dev, abs(float(w) - float(eta.weights[j])))
+    for j, v in enumerate(eta.weights):
+        if j not in matched:
             dev = max(dev, float(v))
     return dev
 

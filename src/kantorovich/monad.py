@@ -402,7 +402,10 @@ def second_order_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> SecondOrderM
         if not isinstance(entry, dict) or "measure" not in entry or "w" not in entry:
             raise ValueError(f"atom {i} must be an object with 'measure' and 'w'")
         measures.append(measure_from_json(entry["measure"], mass_tol=mass_tol))
-        ws.append(float(entry["w"]))
+        try:
+            ws.append(float(entry["w"]))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"atom {i}: {exc}") from None
     return SecondOrderMeasure(measures, ws, mass_tol=mass_tol)
 
 

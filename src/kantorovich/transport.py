@@ -17,13 +17,14 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .ground import GroundSpace
 from .measures import FiniteMeasure, PartitionError, integrate, measure_to_json
-from .points import Point, point_to_json, points_equal
+from .points import Point, distinct_points, point_to_json
 
 #: Absolute tolerance on costs and marginal sums.
 COST_TOL = 1e-9
@@ -202,12 +203,22 @@ def solve_transport(
     m, n = C.shape
     if len(a) != m or len(b) != n:
         raise ValueError("cost matrix shape does not match the weight vectors")
-    if abs(a.sum() - b.sum()) > COST_TOL:
+    if m == 0 or n == 0:
+        raise ValueError("weight vectors must be nonempty")
+    c_max = float(np.abs(C).max())
+    if not isfinite(c_max):
+        raise ValueError("costs must be finite, got a non-finite entry")
+    a_sum, b_sum = float(a.sum()), float(b.sum())
+    if not (isfinite(a_sum) and isfinite(b_sum)):
+        raise ValueError("weights must be finite, got a non-finite entry")
+    if a.min() < 0 or b.min() < 0:
+        raise ValueError("weights must be nonnegative, got a negative entry")
+    if abs(a_sum - b_sum) > COST_TOL:
         raise ValueError("weight vectors must carry equal total mass")
 
     arcs, flows = _northwest_basis(a, b)
     basis = dict(zip(arcs, flows))
-    rc_tol = 1e-11 * max(1.0, float(np.abs(C).max()) if C.size else 1.0)
+    rc_tol = 1e-11 * max(1.0, c_max)
     if max_iter is None:
         max_iter = 200 * (m * n + 10)
 
@@ -486,7 +497,7 @@ def lipschitz_gap(
     ``gap = |∫f dμ − ∫f dη|`` and ``bound = L · distance(μ, η)``; the gap
     never exceeds the bound.
     """
-    pts = list(mu.support) + [p for p in eta.support if all(not points_equal(p, q) for q in mu.support)]
+    pts = list(mu.support) + [p for p in eta.support if mu.index_of(p) is None]
     for x, y in itertools.combinations(pts, 2):
         if abs(float(f(x)) - float(f(y))) > L * space.distance(x, y) + 1e-12:
             raise ValueError(f"observable violates the declared Lipschitz constant on {x!r}, {y!r}")
@@ -515,10 +526,7 @@ def mass_transport_bound_check(
     mu_K = float(sum(w for p, w in mu.items() if K(p)))
     if d_hat > eps * delta / 2.0 + 1e-12 or mu_K < 1.0 - eps / 2.0 - 1e-12:
         return None
-    K_set: list[Point] = []
-    for p in list(space.points) + list(mu.support) + list(eta.support):
-        if K(p) and all(not points_equal(p, q) for q in K_set):
-            K_set.append(p)
+    K_set = distinct_points(p for p in (*space.points, *mu.support, *eta.support) if K(p))
     if K_set:
         dist_to_K = space.metric.pairwise(list(eta.support), K_set).min(axis=1)
     else:

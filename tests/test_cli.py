@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kantorovich
 from kantorovich.cli import JobConfig, main, run
 
 FIX = Path(__file__).parent / "fixtures"
@@ -19,6 +23,14 @@ GOLDEN_COMMANDS = [
     ["flatten", str(FIX / "m2_delta_mu.json")],
     ["dist2", str(FIX / "m2_delta0.json"), str(FIX / "m2_pair.json"), "--metric", "euclidean"],
     ["lift", str(FIX / "mu_r2a.json"), str(FIX / "mu_r2b.json"), "--metric", '{"kind": "pullback", "coords": [0], "inner": {"kind": "euclidean"}}'],
+]
+
+# golden commands at scale, apart from the ten above that the acceptance
+# criterion counts: 8 inner measures of 50 3-D atoms with exact repeats and
+# atoms 1e-13 apart (220 atoms after merging), and 400 3-D atoms, some merging
+SCALE_COMMANDS = [
+    ["flatten", str(FIX / "m2_flatten_8x50.json")],
+    ["barycenter", str(FIX / "mu_r3_400.json")],
 ]
 
 
@@ -132,6 +144,13 @@ def test_golden_bytes_match_captured_output(tmp_path):
     assert got == (GOLDEN / "laws_seed42_samples20.json").read_bytes()
 
 
+def test_golden_bytes_at_scale(tmp_path):
+    # cmd<10 + k>.json is the output of SCALE_COMMANDS[k], captured like the above
+    for k, argv in enumerate(SCALE_COMMANDS, start=len(GOLDEN_COMMANDS)):
+        got = run_to_bytes(argv, tmp_path, f"g{k}")
+        assert got == (GOLDEN / f"cmd{k}.json").read_bytes(), f"command {argv} changed its output"
+
+
 def _write(tmp_path, name, text) -> str:
     path = tmp_path / name
     path.write_text(text)
@@ -175,3 +194,42 @@ def test_laws_zero_samples_exits_2(capsys):
     assert main(["laws", "--seed", "42", "--samples", "0"]) == 2
     captured = capsys.readouterr()
     assert "samples" in captured.err and captured.out == ""
+
+
+def test_nan_table_distance_exits_2_without_hanging(tmp_path):
+    # the solver used to loop forever on a NaN cost, so this runs in a
+    # subprocess with a timeout: a regression fails instead of hanging
+    ab1 = _write(tmp_path, "ab1.json", '{"atoms": [{"point": "a", "w": 0.7}, {"point": "b", "w": 0.3}]}')
+    ab2 = _write(tmp_path, "ab2.json", '{"atoms": [{"point": "a", "w": 0.2}, {"point": "b", "w": 0.8}]}')
+    metric = '{"kind": "table", "points": ["a", "b"], "d": [[0, NaN], [NaN, 0]]}'
+    env = {**os.environ, "PYTHONPATH": str(Path(kantorovich.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "kantorovich.cli", "dist", ab1, ab2, "--metric", metric],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 2
+    assert "finite" in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("coordinate", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("w", ["1.0", "0.0"])
+def test_non_finite_coordinate_exits_2(tmp_path, capsys, coordinate, w):
+    # a zero-weight atom is dropped, but its point must still be valid
+    atoms = f'{{"point": [{coordinate}], "w": {w}}}, {{"point": [0], "w": {1.0 - float(w)}}}'
+    bad = _write(tmp_path, "bad_point.json", f'{{"atoms": [{atoms}]}}')
+    ok = str(FIX / "delta0.json")
+    assert main(["dist", bad, ok, "--metric", "euclidean"]) == 2
+    captured = capsys.readouterr()
+    assert "coordinates must be finite" in captured.err and captured.out == ""
+
+
+def test_null_outer_weight_exits_2(tmp_path, capsys):
+    bad = _write(
+        tmp_path,
+        "null_w.json",
+        '{"atoms": [{"measure": {"atoms": [{"point": [1], "w": 1.0}]}, "w": null}]}',
+    )
+    assert main(["flatten", bad]) == 2
+    assert "atom 0" in capsys.readouterr().err
+    assert main(["dist2", str(FIX / "m2_delta0.json"), bad, "--metric", "euclidean"]) == 2
+    assert "atom 0" in capsys.readouterr().err

@@ -50,6 +50,12 @@ def test_table_axioms_validated():
         TableMetric(["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
 
 
+def test_table_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(MetricAxiomError, match="finite"):
+            TableMetric(["a", "b"], [[0.0, bad], [bad, 0.0]])
+
+
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         Euclidean()((0, 0), (1, 2, 3))
@@ -185,6 +191,25 @@ def test_ground_space_invariants():
     space = GroundSpace([(0, 0), (3, 4), (1, 1)], Euclidean())
     assert space.diameter() == pytest.approx(5.0, abs=GEOM_TOL)
     assert (3.0, 4.0) in space and (9.0, 9.0) not in space
+
+
+def test_ground_space_rejects_non_finite_coordinates():
+    for bad in [(float("nan"),), (float("inf"),), ("a", (float("-inf"),))]:
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            GroundSpace([(0.0,), bad] if len(bad) == 1 else [("a", (0.0,)), bad], Euclidean())
+    space = GroundSpace([(0.0,), (1.0,)], Euclidean())
+    assert (float("nan"),) not in space
+    assert (1.0 + 5e-13,) in space
+
+
+def test_lookups_find_the_earliest_point_within_tolerance():
+    # (0.75e-12,) is within tolerance of both (0,) and (1.5e-12,); the
+    # earliest wins, as in a scan
+    t = TableMetric([(0.0,), (1.5e-12,)], [[0.0, 1.0], [1.0, 0.0]])
+    assert t.pairwise([(0.75e-12,)], [(1.5e-12,)])[0, 0] == 1.0
+    space = GroundSpace([(0.0,), (1.5e-12,), (3.0,)], Discrete())
+    _, proj = quotient(space, Discrete())
+    assert proj((0.75e-12,)) == (0.0,) and proj((2e-12,)) == (1.5e-12,)
 
 
 def test_metric_from_spec_forms():

@@ -1,0 +1,204 @@
+"""The hashed point index against the quadratic scans it replaced.
+
+The ``ref_*`` functions are the scans as they stood before the index: every
+new atom compared with every kept one. The index must return exactly what
+they return, including which atom wins when several are within tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kantorovich import points
+from kantorovich.measures import FiniteMeasure, _merged_atoms, measure_deviation, measures_equal
+from kantorovich.points import CELL, COORD_TOL, PointIndex, as_point, distinct_points, points_equal
+
+
+def ref_merged_atoms(atoms, weights):
+    pts = [as_point(a) for a in atoms]
+    w = np.asarray(list(weights), dtype=float)
+    order, acc = [], {}
+    for p, wi in zip(pts, w):
+        if wi == 0.0:
+            continue
+        if p in acc:
+            acc[p] += wi
+        else:
+            acc[p] = wi
+            order.append(p)
+    support, merged = [], []
+    for p in order:
+        for i, q in enumerate(support):
+            if points_equal(p, q, COORD_TOL):
+                merged[i] += acc[p]
+                break
+        else:
+            support.append(p)
+            merged.append(acc[p])
+    return support, np.asarray(merged, dtype=float)
+
+
+def ref_measures_equal(mu, eta, tol=1e-9):
+    if mu is eta:
+        return True
+    if len(mu) != len(eta):
+        return False
+    used = [False] * len(eta)
+    for p, w in mu.items():
+        for j, (q, v) in enumerate(eta.items()):
+            if not used[j] and points_equal(p, q):
+                if abs(float(w) - float(v)) > tol:
+                    return False
+                used[j] = True
+                break
+        else:
+            return False
+    return True
+
+
+def ref_measure_deviation(mu, eta):
+    dev = 0.0
+    used = [False] * len(eta)
+    for p, w in mu.items():
+        for j, (q, v) in enumerate(eta.items()):
+            if not used[j] and points_equal(p, q):
+                dev = max(dev, abs(float(w) - float(v)))
+                used[j] = True
+                break
+        else:
+            dev = max(dev, float(w))
+    for j, (_, v) in enumerate(eta.items()):
+        if not used[j]:
+            dev = max(dev, float(v))
+    return dev
+
+
+def ref_dedup(pts):
+    out = []
+    for p in pts:
+        if all(not points_equal(p, q) for q in out):
+            out.append(p)
+    return out
+
+
+# coordinates near a few anchors: integers, cell edges (cells are centred on
+# multiples of CELL, so their edges sit at odd multiples of CELL / 2), values
+# so large that scaling them to cells overflows, and arbitrary floats; each
+# moved by exactly nothing or by a fraction or multiple of the tolerance
+EDGES = [CELL / 2, -CELL / 2, 7.5 * CELL]
+ANCHORS = [0.0, 1.0, -3.0, 0.3, 2.0**40, 1.5e302, *EDGES]
+OFFSETS = [0.0, COORD_TOL / 2, -COORD_TOL / 2, 0.9 * COORD_TOL, -0.9 * COORD_TOL,
+           2 * COORD_TOL, -2 * COORD_TOL, 1.5 * COORD_TOL]
+label = st.sampled_from(["a", "b", "c"])
+
+
+@st.composite
+def point_lists(draw, min_size=1, max_size=30):
+    # one shape and two or three anchors per list, so exact repeats, near
+    # duplicates and points on both sides of a cell edge are common
+    anchors = draw(
+        st.lists(
+            st.one_of(st.sampled_from(EDGES), st.sampled_from(ANCHORS), st.floats(-10, 10)),
+            min_size=2,
+            max_size=3,
+        )
+    )
+    coordinate = st.builds(lambda a, o: a + o, st.sampled_from(anchors), st.sampled_from(OFFSETS))
+
+    def coordinate_points(dim):
+        return st.tuples(*[coordinate] * dim)
+
+    family = draw(
+        st.sampled_from(
+            [
+                coordinate_points(1),
+                coordinate_points(2),
+                coordinate_points(3),
+                label,
+                st.tuples(st.one_of(label, coordinate_points(1)), coordinate_points(2)),
+            ]
+        )
+    )
+    pool = draw(st.lists(family, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=min_size, max_size=max_size))
+
+
+weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_merged_atoms_match_the_quadratic_scan(data):
+    pts = data.draw(point_lists())
+    w = data.draw(st.lists(weight, min_size=len(pts), max_size=len(pts)))
+    index, merged = _merged_atoms(pts, w)
+    support, expected = ref_merged_atoms(pts, w)
+    assert index.points == support
+    assert merged.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_lists())
+def test_distinct_points_match_the_quadratic_scan(pts):
+    assert distinct_points(pts) == ref_dedup(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_lists(max_size=20))
+def test_index_matches_are_the_scan_matches(pts):
+    index = PointIndex(pts)
+    for p in pts:
+        assert index.matches(p) == [i for i, q in enumerate(pts) if points_equal(p, q)]
+
+
+def _measure(pts, w):
+    w = np.asarray(w, dtype=float) + 0.01
+    return FiniteMeasure(pts, w / w.sum())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_measure_comparisons_match_the_quadratic_scan(data):
+    pool = data.draw(point_lists(max_size=8))
+    pts = [data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12)) for _ in range(2)]
+    ws = [data.draw(st.lists(st.sampled_from([0.1, 0.2, 0.5]), min_size=len(p), max_size=len(p))) for p in pts]
+    mu, eta = (_measure(p, w) for p, w in zip(pts, ws))
+    mu_reversed = FiniteMeasure(mu.support[::-1], mu.weights[::-1])
+    for a, b in [(mu, eta), (eta, mu), (mu, mu_reversed), (mu_reversed, mu), (mu, mu)]:
+        assert measures_equal(a, b) == ref_measures_equal(a, b)
+        assert measure_deviation(a, b) == ref_measure_deviation(a, b)
+
+
+def test_merging_distinct_points_makes_linearly_many_comparisons(monkeypatch):
+    calls = 0
+    original = points.points_equal
+
+    def counting(p, q, tol=COORD_TOL):
+        nonlocal calls
+        calls += 1
+        return original(p, q, tol)
+
+    monkeypatch.setattr(points, "points_equal", counting)
+    n = 2000
+    rng = np.random.default_rng(3)
+    pts = [tuple(row) for row in rng.random((n, 3)).tolist()]
+    # every point also appears moved by half the tolerance, so each of the
+    # n near duplicates needs one comparison to merge
+    near = [(x + COORD_TOL / 2, y, z) for x, y, z in pts]
+    index, w = _merged_atoms(pts + near, np.full(2 * n, 1.0 / (2 * n)))
+    assert len(index.points) == n
+    assert calls <= 2 * n  # the scan it replaced makes about n * n / 2
+
+
+def test_non_finite_coordinates_are_rejected_on_insertion_only():
+    index = PointIndex([(0.0,)])
+    for bad in [(math.nan,), (0.0, math.inf), ("a", (-math.inf,))]:
+        with pytest.raises(ValueError, match="finite"):
+            index.find_or_add(bad)
+        assert index.matches(bad) == [] and index.find(bad) is None
+    # finite coordinates too large to scale into cells still index
+    big = (1.5e302, 1.0)
+    assert PointIndex([big]).find((1.5e302, 1.0 + COORD_TOL / 2)) == 0

@@ -217,6 +217,24 @@ def test_solve_transport_validates_shapes():
         solve_transport(np.zeros((1, 1)), np.array([1.0]), np.array([0.5]))
 
 
+def test_solve_transport_rejects_non_finite_costs_and_bad_weights():
+    C = np.array([[0.0, 1.0], [1.0, 0.0]])
+    half = np.array([0.5, 0.5])
+    for bad in (np.nan, np.inf):
+        Cb = C.copy()
+        Cb[0, 1] = bad
+        with pytest.raises(ValueError, match="costs must be finite"):
+            solve_transport(Cb, half, half)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            solve_transport(C, np.array([bad, 0.5]), half)
+    # these sum to 1 like the other side; the parent solver returned a plan
+    # with row sums [1, 0]
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_transport(C, np.array([1.5, -0.5]), half)
+    with pytest.raises(ValueError, match="nonempty"):
+        solve_transport(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+
 def test_lipschitz_gap():
     space = line_space(0, 1)
     mu, eta = dirac((0.0,)), dirac((1.0,))
