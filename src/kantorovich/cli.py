@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +58,12 @@ def _load_json(path: str):
 def _resolve_metric(spec: str | None):
     if spec is None:
         raise ValueError("this command needs --metric")
-    if Path(spec).is_file():
+    try:
+        is_file = Path(spec).is_file()
+    except OSError:
+        # e.g. an inline JSON spec longer than a file name may be
+        is_file = False
+    if is_file:
         return metric_from_spec(_load_json(spec))
     return metric_from_spec(spec)
 
@@ -73,6 +79,8 @@ def _emit(payload) -> str:
 
 def run(config: JobConfig) -> tuple[int, str]:
     """Execute a job; returns (exit code, JSON payload)."""
+    if config.tol is not None and not 0.0 <= config.tol < math.inf:
+        raise ValueError(f"--tol must be a finite nonnegative number, got {config.tol!r}")
     mass_tol = config.tol if config.tol is not None else 1e-9
     if config.command == "dist":
         metric = _resolve_metric(config.metric)

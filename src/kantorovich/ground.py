@@ -19,6 +19,10 @@ from .points import Point, PointIndex, as_point, is_coordinate, is_finite, point
 #: Geometry tolerance for axiom checks and zero-distance identification.
 GEOMETRY_TOL = 1e-12
 
+#: Up to this many points, pseudometric axioms are checked on the full
+#: distance matrix; above it, on sampled triples.
+EXHAUSTIVE_POINTS = 64
+
 
 class MetricAxiomError(ValueError):
     """A sampled pair or triple violates the pseudometric axioms."""
@@ -267,13 +271,21 @@ class GroundSpace:
         pts = tuple(as_point(p) for p in points)
         if not pts:
             raise ValueError("a ground space needs at least one point")
-        labels = [p for p in pts if isinstance(p, str)]
-        if len(labels) != len(set(labels)):
-            raise ValueError("labels within one ground space must be unique")
-        dims = {len(p) for p in pts if is_coordinate(p)}
+        labels: set[str] = set()
+        dims: set[int] = set()
+        bad = None
+        for p in pts:
+            if isinstance(p, str):
+                if p in labels:
+                    raise ValueError("labels within one ground space must be unique")
+                labels.add(p)
+                continue
+            if isinstance(p[0], float):
+                dims.add(len(p))
+            if bad is None and not is_finite(p):
+                bad = p
         if len(dims) > 1:
             raise ValueError(f"coordinate points must share one dimension, got {sorted(dims)}")
-        bad = next((p for p in pts if not is_finite(p)), None)
         if bad is not None:
             raise ValueError(f"coordinates must be finite, got {bad!r}")
         self.points = pts
@@ -334,7 +346,7 @@ def validate_pseudometric(
     *,
     seed: int = 0,
     samples: int = 1000,
-    max_exhaustive: int = 64,
+    max_exhaustive: int = EXHAUSTIVE_POINTS,
     tol: float = GEOMETRY_TOL,
 ) -> None:
     """Check the pseudometric axioms of ``metric`` on ``points``.
@@ -375,9 +387,13 @@ def quotient(
     metric, together with the projection map onto representatives.
     ``p`` is validated against the pseudometric axioms first.
     """
-    validate_pseudometric(space.points, p, tol=tol)
     pts = space.points
     d = p.pairwise(pts, pts)
+    if len(pts) <= EXHAUSTIVE_POINTS:
+        # the check validate_pseudometric makes, on the matrix at hand
+        _validate_matrix_axioms(d, tol)
+    else:
+        validate_pseudometric(pts, p, tol=tol)
     reps: list[int] = []
     mapping: dict[Point, Point] = {}
     for i, pt in enumerate(pts):

@@ -13,6 +13,7 @@ decide which atoms merge.
 
 from __future__ import annotations
 
+from math import inf, isfinite
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,34 +29,48 @@ class PartitionError(ValueError):
     """Cells overlap on the support or fail to cover it."""
 
 
+def _check_weights(ws: list[float]) -> None:
+    """Raise on a non-finite weight, then on a negative one; else return."""
+    if not all(map(isfinite, ws)):
+        raise ValueError("non-finite weight")
+    if ws and min(ws) < 0.0:
+        raise ValueError("negative weight")
+
+
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     pts = [as_point(a) for a in atoms]
-    w = np.asarray(list(weights), dtype=float)
-    if len(pts) != len(w):
-        raise ValueError(f"{len(pts)} atoms but {len(w)} weights")
-    if not np.isfinite(w).all():
-        raise ValueError("non-finite weight")
-    if (w < 0).any():
-        raise ValueError("negative weight")
+    if not isinstance(weights, np.ndarray):
+        weights = list(weights)
+    # numpy's conversion, which reads None as NaN; then plain floats
+    ws = np.asarray(weights, dtype=float).tolist()
+    if len(pts) != len(ws):
+        raise ValueError(f"{len(pts)} atoms but {len(ws)} weights")
     # exact duplicates add up first; then each distinct point, in order of
     # first appearance, adds its total to the earliest kept atom it equals
     index = PointIndex()
     first: dict[Point, int] = {}
     totals: list[float] = []
     slots: list[int] = []
-    for p, wi in zip(pts, w):
-        if wi == 0.0:
-            # dropped, but still an input that must be a valid point
-            if not is_finite(p):
-                raise ValueError(f"coordinates must be finite, got {p!r}")
-            continue
-        k = first.get(p)
-        if k is None:
-            first[p] = len(totals)
-            totals.append(wi)
-            slots.append(index.find_or_add(p))
-        else:
-            totals[k] += wi
+    try:
+        for p, wi in zip(pts, ws):
+            if not 0.0 < wi < inf:
+                if wi != 0.0:
+                    _check_weights(ws)
+                # dropped, but still an input that must be a valid point
+                if not is_finite(p):
+                    raise ValueError(f"coordinates must be finite, got {p!r}")
+                continue
+            k = first.get(p)
+            if k is None:
+                first[p] = len(totals)
+                totals.append(wi)
+                slots.append(index.find_or_add(p))
+            else:
+                totals[k] += wi
+    except ValueError:
+        # an invalid weight anywhere is reported before an invalid point
+        _check_weights(ws)
+        raise
     merged = [0.0] * len(index.points)
     for i, t in zip(slots, totals):
         merged[i] += t
@@ -79,7 +94,6 @@ class SubProbabilityMeasure:
     def _store(self, index: PointIndex, w: np.ndarray) -> None:
         self._index = index
         self._support = tuple(index.points)
-        w = np.asarray(w, dtype=float)
         w.flags.writeable = False
         self._weights = w
 

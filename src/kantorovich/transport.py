@@ -111,8 +111,8 @@ def cost_matrix(space: GroundSpace, xs: Sequence[Point], ys: Sequence[Point]) ->
 def _northwest_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
     """Northwest-corner starting basis: m + n - 1 arcs forming a staircase."""
     m, n = len(a), len(b)
-    ra = a.astype(float).copy()
-    rb = b.astype(float).copy()
+    ra = a.tolist()
+    rb = b.tolist()
     arcs: list[tuple[int, int]] = []
     flows: list[float] = []
     i = j = 0
@@ -223,16 +223,16 @@ def solve_transport(
         max_iter = 200 * (m * n + 10)
 
     for _ in range(max_iter):
+        if m == 1 or n == 1:
+            # the basis holds every arc: nothing to price
+            break
         u, v = _tree_duals(basis.keys(), C, m, n)
         rc = (C - u[:, None] - v[None, :]).ravel()
         for i, j in basis:
             rc[i * n + j] = 0.0
         candidates = np.flatnonzero(rc < -rc_tol)
         if candidates.size == 0:
-            gamma = np.zeros((m, n))
-            for (i, j), f in basis.items():
-                gamma[i, j] = max(f, 0.0)
-            return float((gamma * C).sum()), gamma
+            break
         i0, j0 = divmod(int(candidates[0]), n)
 
         path = _tree_path(basis.keys(), m, i0, j0)
@@ -250,7 +250,12 @@ def solve_transport(
             basis[arc] += theta
         del basis[leaving]
         basis[(i0, j0)] = theta
-    raise RuntimeError("network simplex failed to terminate")
+    else:
+        raise RuntimeError("network simplex failed to terminate")
+    gamma = np.zeros((m, n))
+    for (i, j), f in basis.items():
+        gamma[i, j] = max(f, 0.0)
+    return float((gamma * C).sum()), gamma
 
 
 def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> TransportResult:
@@ -498,9 +503,13 @@ def lipschitz_gap(
     never exceeds the bound.
     """
     pts = list(mu.support) + [p for p in eta.support if mu.index_of(p) is None]
-    for x, y in itertools.combinations(pts, 2):
-        if abs(float(f(x)) - float(f(y))) > L * space.distance(x, y) + 1e-12:
-            raise ValueError(f"observable violates the declared Lipschitz constant on {x!r}, {y!r}")
+    fx = np.array([float(f(p)) for p in pts])
+    bad = np.abs(fx[:, None] - fx[None, :]) > L * space.metric.pairwise(pts, pts) + 1e-12
+    # row-major over i < j: the order of itertools.combinations(pts, 2)
+    hits = np.argwhere(np.triu(bad, 1))
+    if len(hits):
+        x, y = (pts[k] for k in hits[0])
+        raise ValueError(f"observable violates the declared Lipschitz constant on {x!r}, {y!r}")
     gap = abs(integrate(mu, f) - integrate(eta, f))
     bound = L * kantorovich(space, mu, eta).cost
     return gap, bound

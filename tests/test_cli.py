@@ -233,3 +233,30 @@ def test_null_outer_weight_exits_2(tmp_path, capsys):
     assert "atom 0" in capsys.readouterr().err
     assert main(["dist2", str(FIX / "m2_delta0.json"), bad, "--metric", "euclidean"]) == 2
     assert "atom 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+def test_non_finite_or_negative_tol_exits_2(tmp_path, capsys, tol):
+    # with --tol nan a measure of mass 5 was accepted; laws --tol inf passed
+    # every law and laws --tol nan failed every one with deviation 0
+    five = _write(tmp_path, "five.json", '{"atoms": [{"point": [0], "w": 2.0}, {"point": [1], "w": 3.0}]}')
+    ok = str(FIX / "delta0.json")
+    for argv in (["dist", five, ok, "--metric", "euclidean"], ["laws", "--samples", "1"]):
+        assert main(argv + [f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and captured.out == ""
+    # zero is a valid tolerance
+    assert main(["dist", ok, ok, "--metric", "euclidean", "--tol", "0"]) == 0
+
+
+def test_long_inline_metric_spec_is_not_taken_for_a_file(tmp_path, capsys):
+    # a 12-point table spec is longer than a file name may be; probing it as
+    # a path raised OSError (File name too long), a traceback with exit 1
+    labels = [f"p{k}" for k in range(12)]
+    table = [[0 if i == j else 1 for j in range(12)] for i in range(12)]
+    spec = json.dumps({"kind": "table", "points": labels, "d": table})
+    assert len(spec) > 255
+    a = _write(tmp_path, "a.json", '{"atoms": [{"point": "p0", "w": 0.5}, {"point": "p11", "w": 0.5}]}')
+    b = _write(tmp_path, "b.json", '{"atoms": [{"point": "p0", "w": 1.0}]}')
+    assert main(["dist", a, b, "--metric", spec]) == 0
+    assert json.loads(capsys.readouterr().out) == {"cost": 0.5}

@@ -183,6 +183,29 @@ def test_quotient_rejects_non_pseudometric():
         quotient(space, Lopsided())
 
 
+def test_quotient_evaluates_the_pseudometric_once(monkeypatch):
+    p = pullback(coordinate_projection([0]), Euclidean())
+    calls = 0
+    original = PullbackMetric.pairwise
+
+    def counting(self, xs, ys):
+        nonlocal calls
+        calls += 1
+        return original(self, xs, ys)
+
+    monkeypatch.setattr(PullbackMetric, "pairwise", counting)
+    space = GroundSpace([(0, 1), (0, 2), (1, 0), (2, 2)], Euclidean())
+    q, _ = quotient(space, p)
+    assert calls == 1 and q.points == ((0.0, 1.0), (1.0, 0.0), (2.0, 2.0))
+
+    class Squared(GroundMetric):
+        def _raw(self, x, y):
+            return (x[0] - y[0]) ** 2  # squared distance breaks the triangle
+
+    with pytest.raises(MetricAxiomError, match="triangle"):
+        quotient(GroundSpace([(0.0,), (5.0,), (10.0,)], Euclidean()), Squared())
+
+
 def test_ground_space_invariants():
     with pytest.raises(ValueError, match="unique"):
         GroundSpace(["a", "a"], Discrete())

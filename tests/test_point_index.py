@@ -41,6 +41,37 @@ def ref_merged_atoms(atoms, weights):
     return support, np.asarray(merged, dtype=float)
 
 
+def ref_numpy_merged_atoms(atoms, weights):
+    # the index-based merge as it stood with its weights validated and held in
+    # numpy; the one-pass version over Python floats must match it byte for byte
+    pts = [as_point(a) for a in atoms]
+    w = np.asarray(list(weights), dtype=float)
+    if len(pts) != len(w):
+        raise ValueError(f"{len(pts)} atoms but {len(w)} weights")
+    if not np.isfinite(w).all():
+        raise ValueError("non-finite weight")
+    if (w < 0).any():
+        raise ValueError("negative weight")
+    index = PointIndex()
+    first, totals, slots = {}, [], []
+    for p, wi in zip(pts, w):
+        if wi == 0.0:
+            if not points.is_finite(p):
+                raise ValueError(f"coordinates must be finite, got {p!r}")
+            continue
+        k = first.get(p)
+        if k is None:
+            first[p] = len(totals)
+            totals.append(wi)
+            slots.append(index.find_or_add(p))
+        else:
+            totals[k] += wi
+    merged = [0.0] * len(index.points)
+    for i, t in zip(slots, totals):
+        merged[i] += t
+    return index, np.asarray(merged, dtype=float)
+
+
 def ref_measures_equal(mu, eta, tol=1e-9):
     if mu is eta:
         return True
@@ -138,6 +169,40 @@ def test_merged_atoms_match_the_quadratic_scan(data):
     support, expected = ref_merged_atoms(pts, w)
     assert index.points == support
     assert merged.tobytes() == expected.tobytes()
+
+
+def _outcome(merge, pts, w):
+    try:
+        index, merged = merge(pts, w)
+    except ValueError as exc:
+        return "error", str(exc)
+    return index.points, merged.tobytes()
+
+
+# weights as the callers pass them: numpy arrays, lists of np.float64 (mix),
+# Python floats and ints; zeros, and invalid entries that must raise the
+# same error as before
+bad_weight = st.sampled_from([math.nan, math.inf, -math.inf, -0.5, -0.0])
+weight_entry = st.one_of(weight, st.integers(0, 3), bad_weight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_pass_merge_matches_the_numpy_validated_merge(data):
+    pts = data.draw(point_lists())
+    if data.draw(st.booleans()):
+        # a non-finite coordinate, to order point errors against weight errors
+        at = data.draw(st.integers(0, len(pts)))
+        pts = pts[:at] + [(math.nan,)] + pts[at:]
+    w = data.draw(
+        st.lists(
+            st.one_of(weight, bad_weight) if data.draw(st.booleans()) else weight_entry,
+            min_size=len(pts),
+            max_size=len(pts),
+        )
+    )
+    for passed in (w, np.array(w, dtype=float), [np.float64(x) for x in w]):
+        assert _outcome(_merged_atoms, pts, passed) == _outcome(ref_numpy_merged_atoms, pts, passed)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from kantorovich import transport
 from kantorovich.ground import Discrete, Euclidean, GroundSpace, Manhattan
 from kantorovich.measures import FiniteMeasure, PartitionError, dirac, measures_equal
 from kantorovich.transport import (
@@ -233,6 +236,61 @@ def test_solve_transport_rejects_non_finite_costs_and_bad_weights():
         solve_transport(C, np.array([1.5, -0.5]), half)
     with pytest.raises(ValueError, match="nonempty"):
         solve_transport(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+
+
+def test_one_row_or_column_returns_the_product_coupling_without_pricing(monkeypatch):
+    calls = 0
+    original = transport._tree_duals
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(transport, "_tree_duals", counting)
+    rng = np.random.default_rng(7)
+    for k in (1, 2, 5):
+        for trial in range(4):
+            w = np.array([0.25, 0.5, 0.125, 0.125, 0.5, 0.25][:k]) if trial == 0 else rng.random(k) + 0.1
+            w = w / w.sum()
+            one = np.array([1.0])
+            for C, a, b in ((rng.random((1, k)), one, w), (rng.random((k, 1)), w, one)):
+                cost, gamma = solve_transport(C, a, b)
+                product = np.outer(a, b)
+                if trial == 0:
+                    assert gamma.tobytes() == product.tobytes()
+                else:
+                    assert np.abs(gamma - product).max() <= 1e-15
+                assert cost == float((gamma * C).sum())
+    assert calls == 0
+    # with two rows and two columns there is something to price
+    solve_transport(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    assert calls >= 1
+
+
+def test_lipschitz_gap_names_the_first_violating_pair():
+    # every pair in the scan order of itertools.combinations; the first that
+    # breaks the bound is the one named
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        pts = [(float(x),) for x in rng.integers(0, 20, size=6)]
+        space = GroundSpace(pts, Euclidean())
+        mu, eta = random_measure(rng, pts), random_measure(rng, pts)
+        slope = {p: float(rng.choice([0.0, 0.5, 2.0])) for p in pts}
+        f = lambda p: slope[p] * p[0]  # noqa: E731
+        joint = list(mu.support) + [p for p in eta.support if mu.index_of(p) is None]
+        first = next(
+            ((x, y) for x, y in itertools.combinations(joint, 2)
+             if abs(f(x) - f(y)) > space.distance(x, y) + 1e-12),
+            None,
+        )
+        if first is None:
+            gap, bound = lipschitz_gap(space, mu, eta, f, L=1.0)
+            assert gap <= bound + COST_TOL
+        else:
+            with pytest.raises(ValueError) as exc:
+                lipschitz_gap(space, mu, eta, f, L=1.0)
+            assert str(exc.value).endswith(f"on {first[0]!r}, {first[1]!r}")
 
 
 def test_lipschitz_gap():
