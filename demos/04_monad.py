@@ -13,7 +13,6 @@ from kantorovich import (
     Euclidean,
     FiniteMeasure,
     GroundSpace,
-    SecondOrderMeasure,
     barycenter,
     check_algebra,
     check_monad_laws,
@@ -21,7 +20,6 @@ from kantorovich import (
     flatten,
     kantorovich,
     second_order_distance,
-    unit2,
 )
 from kantorovich.laws import random_second_order, random_third_order
 
@@ -35,15 +33,15 @@ print("barycenter of a Dirac is its point:", barycenter(plane, dirac((0.3, 0.7))
 
 # --- flattening a measure of measures -------------------------------------------
 
-M = SecondOrderMeasure([mu, dirac((0.0, 0.0))], [0.5, 0.5])
+M = FiniteMeasure([mu, dirac((0.0, 0.0))], [0.5, 0.5])  # a measure of measures
 print("flattened:", flatten(M))
-print("flatten of a Dirac-at-a-measure echoes it:", flatten(unit2(mu)))
+print("flatten of a Dirac-at-a-measure echoes it:", flatten(dirac(mu)))
 
 # --- the second-order distance ---------------------------------------------------
 
 line = GroundSpace([(0.0,), (1.0,), (2.0,)], Euclidean())
-N = SecondOrderMeasure([dirac((1.0,)), dirac((2.0,))], [0.5, 0.5])
-outer = second_order_distance(line, unit2(dirac((0.0,))), N).cost
+N = FiniteMeasure([dirac((1.0,)), dirac((2.0,))], [0.5, 0.5])
+outer = second_order_distance(line, dirac(dirac((0.0,))), N).cost
 inner = kantorovich(line, dirac((0.0,)), flatten(N)).cost
 print("distance from a doubly-Dirac measure:", outer, "= distance to the mixture:", inner)
 

@@ -17,11 +17,9 @@ from .ground import (
     MaxMetric,
     MetricAxiomError,
     PullbackMetric,
-    QuotientMetric,
     TableMetric,
     ZeroMetric,
     coordinate_projection,
-    distance,
     max_combine,
     metric_from_spec,
     pullback,
@@ -44,24 +42,19 @@ from .measures import (
     mix,
     pushforward,
     restrict,
+    second_order_from_json,
     tensor,
 )
 from .monad import (
     ConvexSpace,
     LawReport,
-    SecondOrderMeasure,
     barycenter,
     check_algebra,
     check_monad_laws,
     flatten,
     lifted_pseudometric,
-    mix_second_order,
     reweight_series_check,
     second_order_distance,
-    second_order_from_json,
-    second_order_to_json,
-    unit,
-    unit2,
 )
 from .points import Point, as_point, points_equal
 from .transport import (

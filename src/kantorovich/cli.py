@@ -18,15 +18,8 @@ from pathlib import Path
 
 from .ground import GroundSpace, metric_from_spec
 from .laws import run_law_suite
-from .measures import measure_from_json, measure_to_json
-from .monad import (
-    ConvexSpace,
-    barycenter,
-    flatten,
-    lifted_pseudometric,
-    second_order_distance,
-    second_order_from_json,
-)
+from .measures import measure_from_json, measure_to_json, second_order_from_json
+from .monad import ConvexSpace, barycenter, flatten, lifted_pseudometric, second_order_distance
 from .points import distinct_points, point_to_json
 from .transport import kantorovich
 
@@ -171,12 +164,15 @@ def main(argv=None) -> int:
     config = _config_from_args(args)
     try:
         code, payload = run(config)
+        if config.out:
+            try:
+                Path(config.out).write_text(payload)
+            except OSError as exc:
+                raise ValueError(f"cannot write {config.out}: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out:
-        Path(config.out).write_text(payload)
-    else:
+    if not config.out:
         sys.stdout.write(payload)
     return code
 

@@ -71,9 +71,6 @@ class GroundMetric:
     def __call__(self, x, y) -> float:
         return float(self.pairwise([as_point(x)], [as_point(y)])[0, 0])
 
-    def distance(self, x, y) -> float:
-        return self(x, y)
-
     def pairwise(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
         """Distance matrix between two point lists, canonicalized as needed."""
         xs, ys = [as_point(x) for x in xs], [as_point(y) for y in ys]
@@ -207,23 +204,6 @@ class MaxMetric(GroundMetric):
         return self._capped(stacked.max(axis=0))
 
 
-class QuotientMetric(GroundMetric):
-    """The metric a pseudometric induces on its zero-distance classes.
-
-    Evaluates the original pseudometric on class representatives, where it
-    is a genuine metric.
-    """
-
-    kind = "quotient-of"
-
-    def __init__(self, pseudometric: GroundMetric, cap: float | None = None):
-        super().__init__(cap)
-        self.pseudometric = pseudometric
-
-    def pairwise(self, xs, ys):
-        return self._capped(self.pseudometric.pairwise(xs, ys))
-
-
 class ZeroMetric(GroundMetric):
     """The zero pseudometric; the unit of max combination."""
 
@@ -319,11 +299,6 @@ class GroundSpace:
         return f"<GroundSpace {len(self.points)} points, metric={self.metric.kind!r}>"
 
 
-def distance(space: GroundSpace, x, y) -> float:
-    """Evaluate the space's metric on a pair of points."""
-    return space.distance(x, y)
-
-
 def _validate_matrix_axioms(d: np.ndarray, tol: float = GEOMETRY_TOL) -> None:
     """Check a full distance matrix for the pseudometric axioms."""
     if not np.isfinite(d).all():
@@ -340,6 +315,34 @@ def _validate_matrix_axioms(d: np.ndarray, tol: float = GEOMETRY_TOL) -> None:
             raise MetricAxiomError("triangle inequality violated in table")
 
 
+def _sampled_triples(n: int, seed=0, samples=1000, max_exhaustive=EXHAUSTIVE_POINTS):
+    """The seeded index triples the axioms are checked on above ``max_exhaustive``
+    points; ``None`` (check every entry) up to it."""
+    if n <= max_exhaustive:
+        return None
+    return np.random.default_rng(seed).integers(0, n, size=(samples, 3))
+
+
+def _check_axioms(d: np.ndarray, pts: Sequence[Point], triples, tol: float) -> None:
+    """Raise :class:`MetricAxiomError` on the first axiom violation in ``d``,
+    the distance matrix of ``pts``: anywhere when ``triples`` is ``None``,
+    else on the index triples in order."""
+    if triples is None:
+        return _validate_matrix_axioms(d, tol)
+    if not np.isfinite(d).all():
+        raise MetricAxiomError("distances must be finite, got a non-finite entry")
+    for i, j, k in triples.tolist():
+        x, y, z = pts[i], pts[j], pts[k]
+        if d[i, j] < -tol:
+            raise MetricAxiomError(f"negative distance for {x!r}, {y!r}")
+        if abs(d[i, j] - d[j, i]) > tol:
+            raise MetricAxiomError(f"asymmetric distance for {x!r}, {y!r}")
+        if abs(d[i, i]) > tol:
+            raise MetricAxiomError(f"nonzero self-distance at {x!r}")
+        if d[i, k] > d[i, j] + d[j, k] + tol:
+            raise MetricAxiomError(f"triangle inequality violated on {x!r}, {y!r}, {z!r}")
+
+
 def validate_pseudometric(
     points: Sequence,
     metric: GroundMetric,
@@ -352,29 +355,17 @@ def validate_pseudometric(
     """Check the pseudometric axioms of ``metric`` on ``points``.
 
     Exhaustive over all pairs and triples up to ``max_exhaustive`` points;
-    above that, a seeded random sample of ``samples`` triples is used.
-    Raises :class:`MetricAxiomError` on the first violation found.
+    above that, on ``samples`` seeded random triples, read from one
+    ``pairwise`` matrix of the sampled points. Raises
+    :class:`MetricAxiomError` on the first violation found.
     """
     pts = [as_point(p) for p in points]
-    n = len(pts)
-    if n == 0:
-        return
-    if n <= max_exhaustive:
-        _validate_matrix_axioms(metric.pairwise(pts, pts), tol)
-        return
-    rng = np.random.default_rng(seed)
-    triples = rng.integers(0, n, size=(samples, 3))
-    for i, j, k in triples:
-        x, y, z = pts[i], pts[j], pts[k]
-        dxy, dyx = metric(x, y), metric(y, x)
-        if dxy < -tol:
-            raise MetricAxiomError(f"negative distance for {x!r}, {y!r}")
-        if abs(dxy - dyx) > tol:
-            raise MetricAxiomError(f"asymmetric distance for {x!r}, {y!r}")
-        if abs(metric(x, x)) > tol:
-            raise MetricAxiomError(f"nonzero self-distance at {x!r}")
-        if metric(x, z) > dxy + metric(y, z) + tol:
-            raise MetricAxiomError(f"triangle inequality violated on {x!r}, {y!r}, {z!r}")
+    triples = _sampled_triples(len(pts), seed, samples, max_exhaustive)
+    if triples is not None:
+        used, at = np.unique(triples, return_inverse=True)
+        pts, triples = [pts[a] for a in used], at.reshape(triples.shape)
+    if pts:
+        _check_axioms(metric.pairwise(pts, pts), pts, triples, tol)
 
 
 def quotient(
@@ -383,17 +374,14 @@ def quotient(
     """Quotient a space by the zero-distance classes of a pseudometric.
 
     Returns the quotient space, whose points are class representatives
-    (the first member of each class in input order) carrying the induced
-    metric, together with the projection map onto representatives.
-    ``p`` is validated against the pseudometric axioms first.
+    (the first member of each class in input order) carrying ``p``, a
+    metric on them, together with the projection map onto representatives.
+    ``p`` is validated against the pseudometric axioms first, as
+    :func:`validate_pseudometric` does, on the one matrix read here.
     """
     pts = space.points
     d = p.pairwise(pts, pts)
-    if len(pts) <= EXHAUSTIVE_POINTS:
-        # the check validate_pseudometric makes, on the matrix at hand
-        _validate_matrix_axioms(d, tol)
-    else:
-        validate_pseudometric(pts, p, tol=tol)
+    _check_axioms(d, pts, _sampled_triples(len(pts)), tol)
     reps: list[int] = []
     mapping: dict[Point, Point] = {}
     for i, pt in enumerate(pts):
@@ -414,7 +402,7 @@ def quotient(
             raise ValueError(f"point {x!r} does not belong to the quotient domain")
         return mapping[pts[i]]
 
-    return GroundSpace([pts[r] for r in reps], QuotientMetric(p)), projection
+    return GroundSpace([pts[r] for r in reps], p), projection
 
 
 _SIMPLE_KINDS = {
@@ -446,20 +434,33 @@ def metric_from_spec(spec) -> GroundMetric:
     kind = spec.get("kind")
     if kind is None:
         raise ValueError("metric spec is missing 'kind'")
-    cap = spec.get("cap")
+    if not isinstance(kind, str):
+        raise ValueError(f"metric spec 'kind' must be a string, got {kind!r}")
+    cap = None if spec.get("cap") is None else _spec_field(spec, "cap", float)
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind](cap=cap)
     if kind == "table":
         if "points" not in spec or "d" not in spec:
             raise ValueError("table metric spec needs 'points' and 'd'")
-        return TableMetric(spec["points"], spec["d"], cap=cap)
+        points = _spec_field(spec, "points", lambda pts: [as_point(p) for p in pts])
+        d = _spec_field(spec, "d", lambda d: np.asarray(d, dtype=float))
+        return TableMetric(points, d, cap=cap)
     if kind == "pullback":
         if "coords" not in spec or "inner" not in spec:
             raise ValueError("pullback metric spec needs 'coords' and 'inner'")
         inner = metric_from_spec(spec["inner"])
-        return PullbackMetric(coordinate_projection(spec["coords"]), inner, cap=cap)
+        return PullbackMetric(_spec_field(spec, "coords", coordinate_projection), inner, cap=cap)
     if kind == "max":
         if "of" not in spec or not spec["of"]:
             raise ValueError("max metric spec needs a nonempty 'of' list")
-        return MaxMetric([metric_from_spec(s) for s in spec["of"]], cap=cap)
+        parts = _spec_field(spec, "of", lambda of: [metric_from_spec(s) for s in of])
+        return MaxMetric(parts, cap=cap)
     raise ValueError(f"unknown metric kind {kind!r}")
+
+
+def _spec_field(spec: dict, name: str, convert: Callable):
+    """``convert(spec[name])``; a wrong JSON type raises a ValueError naming the field."""
+    try:
+        return convert(spec[name])
+    except TypeError as exc:
+        raise ValueError(f"metric spec '{name}': {exc}") from None

@@ -29,7 +29,6 @@ from .measures import FiniteMeasure, dirac, mix, pushforward
 from .monad import (
     ConvexSpace,
     LawReport,
-    SecondOrderMeasure,
     barycenter,
     check_algebra,
     check_monad_laws,
@@ -37,7 +36,6 @@ from .monad import (
     lifted_pseudometric,
     reweight_series_check,
     second_order_distance,
-    unit2,
 )
 from .transport import kantorovich, mass_transport_bound_check
 
@@ -70,16 +68,16 @@ def random_second_order(
     points: Sequence,
     max_outer: int = 4,
     max_inner: int = 5,
-) -> SecondOrderMeasure:
+) -> FiniteMeasure:
     k = int(rng.integers(1, max_outer + 1))
     inner = [random_measure(rng, points, max_inner) for _ in range(k)]
     w = rng.random(k) + 0.1
-    return SecondOrderMeasure(inner, w / w.sum())
+    return FiniteMeasure(inner, w / w.sum())
 
 
 def random_third_order(
     rng: np.random.Generator, points: Sequence, max_parts: int = 3
-) -> list[tuple[float, SecondOrderMeasure]]:
+) -> list[tuple[float, FiniteMeasure]]:
     k = int(rng.integers(1, max_parts + 1))
     w = rng.random(k) + 0.1
     w = w / w.sum()
@@ -337,7 +335,7 @@ def run_dirac_flatten_equality(rng, n: int, tol: float | None = None) -> list[La
         space = random_space(rng, 8, 2)
         x = space.points[int(rng.integers(len(space.points)))]
         M = random_second_order(rng, space.points)
-        lhs = second_order_distance(space, unit2(dirac(x)), M).cost
+        lhs = second_order_distance(space, dirac(dirac(x)), M).cost
         rhs = kantorovich(space, dirac(x), flatten(M)).cost
         dev = max(dev, abs(lhs - rhs))
     return [LawReport("dirac-flatten-equality", n, dev, dev <= tol)]

@@ -5,16 +5,20 @@ weights. Construction merges duplicate atoms, drops zero weights, and
 renormalizes, so downstream marginal constraints stay consistent and
 measure equality is structural.
 
-Two atoms are the same point when :func:`points_equal` accepts them. A new
-atom joins the earliest kept atom it equals, found through a
-:class:`PointIndex`; since the tolerance is not transitive, input order can
-decide which atoms merge.
+Atoms are points, or finite measures for a measure of measures (and so on
+up: P(P(X)) and P(P(P(X))) are the same type). Two point atoms are equal
+when :func:`points_equal` accepts them, two measure atoms when
+:func:`measures_equal` does. A new atom joins the earliest kept atom it
+equals, found through a :class:`PointIndex` or a :class:`MeasureIndex`;
+since the tolerances are not transitive, input order can decide which atoms
+merge.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import inf, isfinite
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,14 +41,40 @@ def _check_weights(ws: list[float]) -> None:
         raise ValueError("negative weight")
 
 
+class MeasureIndex(PointIndex):
+    """The :class:`PointIndex` of measure atoms: measures are bucketed by
+    support size, which equal measures share, and :func:`measures_equal`
+    decides within a bucket."""
+
+    __slots__ = ()
+
+    def matches(self, m) -> Iterator[int]:
+        """Positions of every stored measure equal to ``m``, ascending, lazily."""
+        if isinstance(m, SubProbabilityMeasure):
+            pts = self.points
+            yield from (i for i in self._buckets.get(len(m), ()) if measures_equal(m, pts[i]))
+
+    def find(self, m) -> int | None:
+        return next(self.matches(m), None)
+
+    def find_or_add(self, m) -> int:
+        i = self.find(m)
+        return self._insert(m, len(m)) if i is None else i
+
+
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
-    pts = [as_point(a) for a in atoms]
+    atoms = list(atoms)
+    # the atom kind is decided once, by the first atom
+    of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
+    pts = atoms if of_measures else [as_point(a) for a in atoms]
     if not isinstance(weights, np.ndarray):
         weights = list(weights)
     # numpy's conversion, which reads None as NaN; then plain floats
     ws = np.asarray(weights, dtype=float).tolist()
     if len(pts) != len(ws):
         raise ValueError(f"{len(pts)} atoms but {len(ws)} weights")
+    if of_measures:
+        return _merged_measures(pts, ws)
     # exact duplicates add up first; then each distinct point, in order of
     # first appearance, adds its total to the earliest kept atom it equals
     index = PointIndex()
@@ -77,6 +107,20 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     return index, np.asarray(merged, dtype=float)
 
 
+def _merged_measures(atoms: list, ws: list[float]) -> tuple[MeasureIndex, np.ndarray]:
+    """:func:`_merged_atoms` of measure atoms: each atom of positive weight
+    adds it to the earliest kept measure it equals."""
+    if not all(isinstance(m, FiniteMeasure) for m in atoms):
+        raise TypeError("atoms must be all points or all finite measures")
+    _check_weights(ws)
+    index = MeasureIndex()
+    kept = [(index.find_or_add(m), wi) for m, wi in zip(atoms, ws) if wi != 0.0]
+    merged = [0.0] * len(index.points)
+    for i, wi in kept:
+        merged[i] += wi
+    return index, np.asarray(merged, dtype=float)
+
+
 class SubProbabilityMeasure:
     """Finitely supported measure with total mass in (0, 1]."""
 
@@ -98,7 +142,7 @@ class SubProbabilityMeasure:
         self._weights = w
 
     @property
-    def support(self) -> tuple[Point, ...]:
+    def support(self) -> tuple:
         return self._support
 
     @property
@@ -112,12 +156,14 @@ class SubProbabilityMeasure:
     def items(self):
         return zip(self._support, self._weights)
 
-    def index_of(self, point) -> int | None:
-        """Position of the earliest support atom equal to ``point``, if any."""
-        return self._index.find(as_point(point))
+    def index_of(self, atom) -> int | None:
+        """Position of the earliest support atom equal to ``atom``, if any."""
+        if not isinstance(self._index, MeasureIndex):
+            atom = as_point(atom)
+        return self._index.find(atom)
 
-    def weight_of(self, point) -> float:
-        i = self.index_of(point)
+    def weight_of(self, atom) -> float:
+        i = self.index_of(atom)
         return 0.0 if i is None else float(self._weights[i])
 
     def __len__(self):
@@ -129,7 +175,7 @@ class SubProbabilityMeasure:
 
 
 class FiniteMeasure(SubProbabilityMeasure):
-    """Probability measure with finite support.
+    """Probability measure with finite support of points or of measures.
 
     Weights must sum to 1 within ``WEIGHT_TOL``; they are renormalized to
     sum exactly 1 after validation.
@@ -152,12 +198,12 @@ class FiniteMeasure(SubProbabilityMeasure):
 
 
 def dirac(x) -> FiniteMeasure:
-    """Unit mass at a single point."""
+    """Unit mass at a single atom, a point or a measure: the monad unit."""
     return FiniteMeasure([x], [1.0])
 
 
 def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
-    """Convex combination of measures; duplicate atoms merge.
+    """Convex combination of measures of any order; duplicate atoms merge.
 
     ``parts`` pairs each measure with a nonnegative weight; the weights
     must sum to 1 within ``WEIGHT_TOL``.
@@ -169,7 +215,7 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
         raise ValueError("negative mixture weight")
     if abs(ts.sum() - 1.0) > WEIGHT_TOL:
         raise ValueError(f"mixture weights sum to {ts.sum():.12g}, expected 1")
-    atoms: list[Point] = []
+    atoms: list = []
     weights: list[float] = []
     for t, mu in parts:
         if t == 0.0:
@@ -247,8 +293,10 @@ def _matched_atoms(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure):
     """For each atom of ``mu`` in order, the position of the earliest atom of
     ``eta`` that equals it and is not matched yet, or ``None``."""
     used = [False] * len(eta)
+    # atoms of different kinds never match
+    index = eta._index if type(eta._index) is type(mu._index) else MeasureIndex()
     for p in mu.support:
-        for j in eta._index.matches(p):
+        for j in index.matches(p):
             if not used[j]:
                 used[j] = True
                 break
@@ -285,24 +333,44 @@ def measure_deviation(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure) -> 
     return dev
 
 
-def measure_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> FiniteMeasure:
-    """Load ``{"atoms": [{"point": ..., "w": ...}, ...]}``."""
+def _load_measure(obj, key: str, mass_tol: float) -> FiniteMeasure:
+    """Load ``{"atoms": [{key: ..., "w": ...}, ...]}``, where ``key`` is
+    ``"point"``, or ``"measure"`` for a measure of measures."""
     if not isinstance(obj, dict) or "atoms" not in obj:
         raise ValueError("measure JSON must be an object with an 'atoms' list")
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("measure JSON needs a nonempty 'atoms' list")
-    pts, ws = [], []
+    load = point_from_json if key == "point" else partial(measure_from_json, mass_tol=mass_tol)
+    xs, ws = [], []
     for i, entry in enumerate(atoms):
-        if not isinstance(entry, dict) or "point" not in entry or "w" not in entry:
-            raise ValueError(f"atom {i} must be an object with 'point' and 'w'")
+        if not isinstance(entry, dict) or key not in entry or "w" not in entry:
+            raise ValueError(f"atom {i} must be an object with '{key}' and 'w'")
         try:
-            pts.append(point_from_json(entry["point"]))
+            xs.append(load(entry[key]))
             ws.append(float(entry["w"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"atom {i}: {exc}") from None
-    return FiniteMeasure(pts, ws, mass_tol=mass_tol)
+    return FiniteMeasure(xs, ws, mass_tol=mass_tol)
+
+
+def measure_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> FiniteMeasure:
+    """Load ``{"atoms": [{"point": ..., "w": ...}, ...]}``."""
+    return _load_measure(obj, "point", mass_tol)
+
+
+def second_order_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> FiniteMeasure:
+    """Load ``{"atoms": [{"measure": {...}, "w": ...}, ...]}``."""
+    return _load_measure(obj, "measure", mass_tol)
+
+
+def atom_to_json(atom):
+    """JSON form of a support atom: a point, or a measure one order down."""
+    return measure_to_json(atom) if isinstance(atom, SubProbabilityMeasure) else point_to_json(atom)
 
 
 def measure_to_json(mu: SubProbabilityMeasure) -> dict:
-    return {"atoms": [{"point": point_to_json(p), "w": float(w)} for p, w in mu.items()]}
+    """``{"atoms": [{"point": ..., "w": ...}, ...]}``, with ``"measure"`` in
+    place of ``"point"`` for a measure of measures."""
+    key = "measure" if isinstance(mu._index, MeasureIndex) else "point"
+    return {"atoms": [{key: atom_to_json(a), "w": float(w)} for a, w in mu.items()]}

@@ -1,7 +1,9 @@
 """Probability-monad structure over finitely supported measures.
 
-The unit sends a point to its Dirac measure; the multiplication flattens a
-measure on measures into its mixture, which for coordinate supports is the
+A measure of measures is a :class:`FiniteMeasure` whose atoms are measures,
+so one type serves every order. The unit sends an atom to its Dirac
+measure (:func:`dirac`, at any order); the multiplication flattens a
+measure of measures into its mixture, which for coordinate supports is the
 barycenter map. The same coupling solver that computes ground distances
 computes the second-order distance on measures of measures, with the
 ground distance itself as the cost.
@@ -10,7 +12,7 @@ ground distance itself as the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,9 +22,6 @@ from .measures import (
     WEIGHT_TOL,
     dirac,
     measure_deviation,
-    measure_from_json,
-    measure_to_json,
-    measures_equal,
     mix,
     pushforward,
 )
@@ -30,102 +29,13 @@ from .points import Point, as_point, coordinates
 from .transport import Coupling, TransportResult, kantorovich, solve_transport
 
 
-class SecondOrderMeasure:
-    """Finitely supported measure whose atoms are measures.
-
-    Atom identity is structural measure equality at the weight tolerance,
-    so duplicate inner measures merge just like duplicate points do.
-    """
-
-    __slots__ = ("_support", "_weights")
-
-    def __init__(self, atoms: Iterable[FiniteMeasure], weights, *, mass_tol: float = WEIGHT_TOL):
-        atoms = list(atoms)
-        w = np.asarray(list(weights), dtype=float)
-        if len(atoms) != len(w):
-            raise ValueError(f"{len(atoms)} atoms but {len(w)} weights")
-        if not np.isfinite(w).all():
-            raise ValueError("non-finite weight")
-        if (w < 0).any():
-            raise ValueError("negative weight")
-        support: list[FiniteMeasure] = []
-        merged: list[float] = []
-        for m, wi in zip(atoms, w):
-            if wi == 0.0:
-                continue
-            if not isinstance(m, FiniteMeasure):
-                raise TypeError("second-order atoms must be finite measures")
-            for i, q in enumerate(support):
-                if measures_equal(m, q):
-                    merged[i] += wi
-                    break
-            else:
-                support.append(m)
-                merged.append(float(wi))
-        if not support:
-            raise ValueError("measure needs at least one atom of positive weight")
-        total = float(sum(merged))
-        if abs(total - 1.0) > mass_tol:
-            raise ValueError(f"weights sum to {total:.12g}, expected 1")
-        self._support = tuple(support)
-        ww = np.asarray(merged, dtype=float) / total
-        ww.flags.writeable = False
-        self._weights = ww
-
-    @property
-    def support(self) -> tuple[FiniteMeasure, ...]:
-        return self._support
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    def items(self):
-        return zip(self._support, self._weights)
-
-    def __len__(self):
-        return len(self._support)
-
-    def __repr__(self):
-        return f"SecondOrderMeasure({len(self._support)} inner measures)"
-
-
-def unit(x) -> FiniteMeasure:
-    """Monad unit on points: the Dirac measure."""
-    return dirac(x)
-
-
-def unit2(mu: FiniteMeasure) -> SecondOrderMeasure:
-    """Monad unit on measures: the Dirac measure concentrated at ``mu``."""
-    return SecondOrderMeasure([mu], [1.0])
-
-
-def flatten(M: SecondOrderMeasure) -> FiniteMeasure:
+def flatten(M: FiniteMeasure) -> FiniteMeasure:
     """Monad multiplication: the mixture of the inner measures.
 
     This is the barycenter of a measure on measures; for finite supports
     it is the convex combination of the inner measures.
     """
     return mix([(float(t), m) for m, t in M.items()])
-
-
-def mix_second_order(parts: Sequence[tuple[float, SecondOrderMeasure]]) -> SecondOrderMeasure:
-    """Convex combination one level up; inner-measure atoms merge."""
-    if not parts:
-        raise ValueError("mix needs at least one part")
-    ts = np.array([float(t) for t, _ in parts])
-    if (ts < 0).any():
-        raise ValueError("negative mixture weight")
-    if abs(ts.sum() - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights sum to {ts.sum():.12g}, expected 1")
-    atoms: list[FiniteMeasure] = []
-    weights: list[float] = []
-    for t, M in parts:
-        if t == 0.0:
-            continue
-        atoms.extend(M.support)
-        weights.extend(t * M.weights)
-    return SecondOrderMeasure(atoms, weights)
 
 
 class ConvexSpace:
@@ -165,7 +75,7 @@ def barycenter(space: ConvexSpace, mu: FiniteMeasure) -> Point:
 
 
 def second_order_distance(
-    space: GroundSpace, M: SecondOrderMeasure, N: SecondOrderMeasure
+    space: GroundSpace, M: FiniteMeasure, N: FiniteMeasure
 ) -> TransportResult:
     """Coupling distance between measures of measures.
 
@@ -257,7 +167,7 @@ class LawReport:
         }
 
 
-ThirdOrder = Sequence[tuple[float, SecondOrderMeasure]]
+ThirdOrder = Sequence[tuple[float, FiniteMeasure]]
 
 
 def check_monad_laws(
@@ -272,49 +182,32 @@ def check_monad_laws(
     """
     dev_unit_outer = 0.0
     dev_unit_inner = 0.0
-    dev_unit2 = 0.0
+    dev_unit_second = 0.0
     dev_assoc = 0.0
     for sample in samples:
         sample = [(float(t), M) for t, M in sample]
         for _, M in sample:
             for mu, _ in M.items():
-                dev_unit_outer = max(dev_unit_outer, measure_deviation(flatten(unit2(mu)), mu))
-                via_diracs = SecondOrderMeasure([dirac(p) for p in mu.support], mu.weights)
+                dev_unit_outer = max(dev_unit_outer, measure_deviation(flatten(dirac(mu)), mu))
+                via_diracs = FiniteMeasure([dirac(p) for p in mu.support], mu.weights)
                 dev_unit_inner = max(dev_unit_inner, measure_deviation(flatten(via_diracs), mu))
-            as_parts = mix_second_order([(1.0, M)])
-            dev_unit2 = max(dev_unit2, _second_order_deviation(as_parts, M))
-            redundant = mix_second_order([(float(t), unit2(mu)) for mu, t in M.items()])
-            dev_unit2 = max(dev_unit2, _second_order_deviation(redundant, M))
-        lhs = flatten(mix_second_order(sample))
-        rhs = flatten(SecondOrderMeasure([flatten(M) for _, M in sample], [t for t, _ in sample]))
+            as_parts = mix([(1.0, M)])
+            dev_unit_second = max(dev_unit_second, measure_deviation(as_parts, M))
+            redundant = mix([(float(t), dirac(mu)) for mu, t in M.items()])
+            dev_unit_second = max(dev_unit_second, measure_deviation(redundant, M))
+        lhs = flatten(mix(sample))
+        rhs = flatten(FiniteMeasure([flatten(M) for _, M in sample], [t for t, _ in sample]))
         dev_assoc = max(dev_assoc, measure_deviation(lhs, rhs))
     n = len(samples)
     return [
         LawReport("unit-dirac-of-measure", n, dev_unit_outer, dev_unit_outer <= tol),
         LawReport("unit-measure-of-diracs", n, dev_unit_inner, dev_unit_inner <= tol),
-        LawReport("unit-second-order", n, dev_unit2, dev_unit2 <= tol),
+        LawReport("unit-second-order", n, dev_unit_second, dev_unit_second <= tol),
         LawReport("flatten-associativity", n, dev_assoc, dev_assoc <= tol),
     ]
 
 
-def _second_order_deviation(A: SecondOrderMeasure, B: SecondOrderMeasure) -> float:
-    dev = 0.0
-    used = [False] * len(B)
-    for m, w in A.items():
-        for j, (q, v) in enumerate(B.items()):
-            if not used[j] and measures_equal(m, q):
-                dev = max(dev, abs(float(w) - float(v)))
-                used[j] = True
-                break
-        else:
-            dev = max(dev, float(w))
-    for j, (_, v) in enumerate(B.items()):
-        if not used[j]:
-            dev = max(dev, float(v))
-    return dev
-
-
-AlgebraSample = tuple[SecondOrderMeasure, Callable[[Point], Point], int]
+AlgebraSample = tuple[FiniteMeasure, Callable[[Point], Point], int]
 
 
 def check_algebra(
@@ -388,26 +281,3 @@ def _require_affine(f, pts: Sequence[Point], space: ConvexSpace, tol: float = 1e
         rhs = t * coordinates(as_point(f(x))) + (1.0 - t) * coordinates(as_point(f(y)))
         if np.abs(lhs - rhs).max() > tol:
             raise ValueError("map is not affine on sampled combinations")
-
-
-def second_order_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> SecondOrderMeasure:
-    """Load ``{"atoms": [{"measure": {...}, "w": ...}, ...]}``."""
-    if not isinstance(obj, dict) or "atoms" not in obj:
-        raise ValueError("second-order measure JSON must be an object with an 'atoms' list")
-    atoms = obj["atoms"]
-    if not isinstance(atoms, list) or not atoms:
-        raise ValueError("second-order measure JSON needs a nonempty 'atoms' list")
-    measures, ws = [], []
-    for i, entry in enumerate(atoms):
-        if not isinstance(entry, dict) or "measure" not in entry or "w" not in entry:
-            raise ValueError(f"atom {i} must be an object with 'measure' and 'w'")
-        measures.append(measure_from_json(entry["measure"], mass_tol=mass_tol))
-        try:
-            ws.append(float(entry["w"]))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"atom {i}: {exc}") from None
-    return SecondOrderMeasure(measures, ws, mass_tol=mass_tol)
-
-
-def second_order_to_json(M: SecondOrderMeasure) -> dict:
-    return {"atoms": [{"measure": measure_to_json(m), "w": float(w)} for m, w in M.items()]}

@@ -23,21 +23,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ground import GroundSpace
-from .measures import FiniteMeasure, PartitionError, integrate, measure_to_json
-from .points import Point, distinct_points, point_to_json
+from .measures import FiniteMeasure, PartitionError, atom_to_json, integrate
+from .points import Point, distinct_points
 
 #: Absolute tolerance on costs and marginal sums.
 COST_TOL = 1e-9
 
 #: Coupling entries below this are serialized as exact zeros.
 EMIT_ZERO_BELOW = 1e-15
-
-
-def _support_entry_to_json(entry):
-    # rows and cols hold points at first order, measures at second order
-    if isinstance(entry, FiniteMeasure):
-        return measure_to_json(entry)
-    return point_to_json(entry)
 
 
 @dataclass(frozen=True)
@@ -78,8 +71,8 @@ class Coupling:
     def to_json(self, cost: float | None = None) -> dict:
         g = np.where(np.abs(self.gamma) < EMIT_ZERO_BELOW, 0.0, self.gamma)
         out = {
-            "rows": [_support_entry_to_json(p) for p in self.rows],
-            "cols": [_support_entry_to_json(p) for p in self.cols],
+            "rows": [atom_to_json(p) for p in self.rows],
+            "cols": [atom_to_json(p) for p in self.cols],
             "gamma": [[float(v) for v in row] for row in g],
         }
         if cost is not None:

@@ -260,3 +260,31 @@ def test_long_inline_metric_spec_is_not_taken_for_a_file(tmp_path, capsys):
     b = _write(tmp_path, "b.json", '{"atoms": [{"point": "p0", "w": 1.0}]}')
     assert main(["dist", a, b, "--metric", spec]) == 0
     assert json.loads(capsys.readouterr().out) == {"cost": 0.5}
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ('{"kind": "euclidean", "cap": [1]}', "cap"),
+        ('{"kind": []}', "kind"),
+        ('{"kind": "pullback", "coords": [[0]], "inner": "euclidean"}', "coords"),
+        ('{"kind": "max", "of": 5}', "of"),
+        ('{"kind": "table", "points": 5, "d": [[0]]}', "points"),
+    ],
+)
+def test_malformed_metric_spec_exits_2(capsys, spec, field):
+    # each ended in a TypeError traceback with exit 1
+    ok = str(FIX / "delta0.json")
+    assert main(["dist", ok, ok, "--metric", spec]) == 2
+    captured = capsys.readouterr()
+    assert f"'{field}'" in captured.err and captured.out == ""
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a missing directory ended in a FileNotFoundError traceback with exit 1
+    ok = str(FIX / "delta0.json")
+    out = tmp_path / "missing" / "x.json"
+    assert main(["dist", ok, ok, "--metric", "euclidean", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot write" in captured.err and captured.out == ""
+    assert not out.exists()

@@ -11,7 +11,6 @@ from kantorovich.ground import (
     MaxMetric,
     MetricAxiomError,
     PullbackMetric,
-    QuotientMetric,
     TableMetric,
     ZeroMetric,
     coordinate_projection,
@@ -21,6 +20,7 @@ from kantorovich.ground import (
     quotient,
     validate_pseudometric,
 )
+from kantorovich.points import as_point
 
 GEOM_TOL = 1e-12
 
@@ -206,6 +206,84 @@ def test_quotient_evaluates_the_pseudometric_once(monkeypatch):
         quotient(GroundSpace([(0.0,), (5.0,), (10.0,)], Euclidean()), Squared())
 
 
+
+def ref_sampled_check(points, metric, seed=0, samples=1000, tol=GEOM_TOL):
+    # the sampled branch of validate_pseudometric as it stood: five scalar
+    # metric calls per triple; returns the first violation's message
+    pts = [as_point(p) for p in points]
+    for i, j, k in np.random.default_rng(seed).integers(0, len(pts), size=(samples, 3)):
+        x, y, z = pts[i], pts[j], pts[k]
+        dxy, dyx = metric(x, y), metric(y, x)
+        if dxy < -tol:
+            return f"negative distance for {x!r}, {y!r}"
+        if abs(dxy - dyx) > tol:
+            return f"asymmetric distance for {x!r}, {y!r}"
+        if abs(metric(x, x)) > tol:
+            return f"nonzero self-distance at {x!r}"
+        if metric(x, z) > dxy + metric(y, z) + tol:
+            return f"triangle inequality violated on {x!r}, {y!r}, {z!r}"
+    return None
+
+
+class _Rule(GroundMetric):
+    """A user metric defined entrywise by ``rule(x, y)``."""
+
+    def __init__(self, rule):
+        super().__init__()
+        self.rule = rule
+
+    def _raw(self, x, y):
+        return self.rule(x, y)
+
+
+SAMPLED_CASES = [
+    Euclidean(),
+    PullbackMetric(lambda p: p[:1], Manhattan()),
+    _Rule(lambda x, y: -abs(x[0] - y[0])),
+    _Rule(lambda x, y: abs(x[0] - y[0]) + (0.5 if x < y and x[1] > 0.9 else 0.0)),
+    _Rule(lambda x, y: 0.0 if x != y or x[0] < 0.95 else 0.25),
+    _Rule(lambda x, y: (x[0] - y[0]) ** 2),
+]
+
+
+@pytest.mark.parametrize("metric", SAMPLED_CASES)
+def test_sampled_axiom_check_reads_one_matrix(monkeypatch, metric):
+    # above 64 points the seeded triples are read from one pairwise matrix:
+    # the same verdict and the same first violation as the scalar calls
+    pts = [tuple(p) for p in np.random.default_rng(5).random((100, 2)).tolist()]
+    expected = ref_sampled_check(pts, metric)
+    calls = 0
+    original = type(metric).pairwise
+
+    def counting(self, xs, ys):
+        nonlocal calls
+        calls += 1
+        return original(self, xs, ys)
+
+    monkeypatch.setattr(type(metric), "pairwise", counting)
+    for check in (lambda: validate_pseudometric(pts, metric), lambda: quotient(GroundSpace(pts, metric), metric)):
+        calls = 0
+        if expected is None:
+            check()
+        else:
+            with pytest.raises(MetricAxiomError) as info:
+                check()
+            assert str(info.value) == expected
+        assert calls == 1
+    if expected is None:
+        assert quotient(GroundSpace(pts, metric), metric)[0].metric is metric
+
+
+def test_sampled_axiom_check_rejects_non_finite_distances():
+    # every comparison with NaN is false, so the scalar sampled check passed it
+    pts = [tuple(p) for p in np.random.default_rng(6).random((100, 2)).tolist()]
+    nan_metric = _Rule(lambda x, y: 0.0 if x == y else float("nan"))
+    assert ref_sampled_check(pts, nan_metric) is None
+    with pytest.raises(MetricAxiomError, match="finite"):
+        validate_pseudometric(pts, nan_metric)
+    with pytest.raises(MetricAxiomError, match="finite"):
+        quotient(GroundSpace(pts, nan_metric), nan_metric)
+
 def test_ground_space_invariants():
     with pytest.raises(ValueError, match="unique"):
         GroundSpace(["a", "a"], Discrete())
@@ -273,7 +351,6 @@ def _builtin_metrics(cap):
         coord_table,
         PullbackMetric(first, Manhattan(), cap=cap),
         MaxMetric([Euclidean(), Discrete(), PullbackMetric(first, Chebyshev())], cap=cap),
-        QuotientMetric(PullbackMetric(first, Euclidean()), cap=cap),
     ]
     yield LABEL_PTS, [
         Discrete(cap=cap),
@@ -281,7 +358,6 @@ def _builtin_metrics(cap):
         label_table,
         PullbackMetric(to_plane, Euclidean(), cap=cap),
         MaxMetric([Discrete(), TableMetric(LABEL_PTS, LABEL_TABLE)], cap=cap),
-        QuotientMetric(label_table, cap=cap),
     ]
     yield PRODUCT_PTS, [
         Discrete(cap=cap),
@@ -289,7 +365,6 @@ def _builtin_metrics(cap):
         product_table,
         PullbackMetric(lambda p: p[0], Euclidean(), cap=cap),
         MaxMetric([Discrete(), product_table], cap=cap),
-        QuotientMetric(PullbackMetric(lambda p: p[1], Discrete()), cap=cap),
     ]
 
 
@@ -309,7 +384,7 @@ def test_pairwise_entries_equal_scalar_calls_exactly(cap):
             assert m.pairwise([], xs).shape == (0, len(xs))
             assert m.pairwise(xs, []).shape == (len(xs), 0)
     assert kinds == {
-        "euclidean", "manhattan", "chebyshev", "discrete", "zero", "table", "pullback", "max", "quotient-of"
+        "euclidean", "manhattan", "chebyshev", "discrete", "zero", "table", "pullback", "max"
     }
 
 

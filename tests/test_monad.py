@@ -8,22 +8,24 @@ from kantorovich.laws import (
     random_space,
     random_third_order,
 )
-from kantorovich.measures import FiniteMeasure, dirac, measures_equal, mix, pushforward
+from kantorovich.measures import (
+    FiniteMeasure,
+    dirac,
+    measure_to_json,
+    measures_equal,
+    mix,
+    pushforward,
+    second_order_from_json,
+)
 from kantorovich.monad import (
     ConvexSpace,
-    SecondOrderMeasure,
     barycenter,
     check_algebra,
     check_monad_laws,
     flatten,
     lifted_pseudometric,
-    mix_second_order,
     reweight_series_check,
     second_order_distance,
-    second_order_from_json,
-    second_order_to_json,
-    unit,
-    unit2,
 )
 from kantorovich.transport import kantorovich
 
@@ -62,15 +64,14 @@ def test_barycenter_affine_in_the_measure():
 
 def test_unit_and_flatten():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
-    assert measures_equal(unit((0.0,)), dirac((0.0,)))
-    M = unit2(mu)
+    M = dirac(mu)
     assert len(M) == 1 and M.weights[0] == 1.0
     assert measures_equal(flatten(M), mu)
-    assert measures_equal(flatten(unit2(dirac("a"))), dirac("a"))
-    two = SecondOrderMeasure([dirac((0.0,)), dirac((1.0,))], [0.5, 0.5])
+    assert measures_equal(flatten(dirac(dirac("a"))), dirac("a"))
+    two = FiniteMeasure([dirac((0.0,)), dirac((1.0,))], [0.5, 0.5])
     assert measures_equal(flatten(two), mu)
     # hand mixture
-    M3 = SecondOrderMeasure([mu, dirac((0.0,))], [0.5, 0.5])
+    M3 = FiniteMeasure([mu, dirac((0.0,))], [0.5, 0.5])
     out = flatten(M3)
     assert out.weight_of((0.0,)) == pytest.approx(0.75)
     assert out.weight_of((1.0,)) == pytest.approx(0.25)
@@ -79,7 +80,7 @@ def test_unit_and_flatten():
 def test_second_order_atoms_merge_by_measure_equality():
     mu_a = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     mu_b = FiniteMeasure([(1.0,), (0.0,)], [0.5, 0.5])  # same measure, reordered
-    M = SecondOrderMeasure([mu_a, mu_b], [0.5, 0.5])
+    M = FiniteMeasure([mu_a, mu_b], [0.5, 0.5])
     assert len(M) == 1 and M.weights[0] == 1.0
 
 
@@ -88,13 +89,13 @@ def test_second_order_distance_examples():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     eta = dirac((2.0,))
     d_inner = kantorovich(space, mu, eta).cost
-    assert second_order_distance(space, unit2(mu), unit2(eta)).cost == pytest.approx(
+    assert second_order_distance(space, dirac(mu), dirac(eta)).cost == pytest.approx(
         d_inner, abs=TOL
     )
-    M = SecondOrderMeasure([dirac((1.0,)), dirac((2.0,))], [0.5, 0.5])
+    M = FiniteMeasure([dirac((1.0,)), dirac((2.0,))], [0.5, 0.5])
     assert second_order_distance(space, M, M).cost == pytest.approx(0.0, abs=TOL)
     # evaluated by brute force over couplings: both sides are 1.5
-    lhs = second_order_distance(space, unit2(dirac((0.0,))), M).cost
+    lhs = second_order_distance(space, dirac(dirac((0.0,))), M).cost
     assert lhs == pytest.approx(1.5, abs=TOL)
     assert kantorovich(space, dirac((0.0,)), flatten(M)).cost == pytest.approx(1.5, abs=TOL)
 
@@ -108,19 +109,19 @@ def test_flatten_nonexpanding_and_dirac_equality():
         outer = second_order_distance(space, M, N).cost
         assert kantorovich(space, flatten(M), flatten(N)).cost <= outer + TOL
         x = space.points[int(rng.integers(len(space.points)))]
-        lhs = second_order_distance(space, unit2(dirac(x)), M).cost
+        lhs = second_order_distance(space, dirac(dirac(x)), M).cost
         rhs = kantorovich(space, dirac(x), flatten(M)).cost
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
 def test_monad_laws_hand_instance():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
-    M1 = SecondOrderMeasure([mu, dirac((0.0,))], [0.5, 0.5])
-    M2 = unit2(dirac((1.0,)))
+    M1 = FiniteMeasure([mu, dirac((0.0,))], [0.5, 0.5])
+    M2 = dirac(dirac((1.0,)))
     sample = [(0.5, M1), (0.5, M2)]
     # both composite flattens give {0: 3/8, 1: 5/8}
-    lhs = flatten(mix_second_order(sample))
-    rhs = flatten(SecondOrderMeasure([flatten(M1), flatten(M2)], [0.5, 0.5]))
+    lhs = flatten(mix(sample))
+    rhs = flatten(FiniteMeasure([flatten(M1), flatten(M2)], [0.5, 0.5]))
     expected = FiniteMeasure([(0.0,), (1.0,)], [3 / 8, 5 / 8])
     assert measures_equal(lhs, expected) and measures_equal(rhs, expected)
 
@@ -136,7 +137,7 @@ def test_monad_laws_random():
 def test_algebra_laws():
     cs = ConvexSpace(2)
     mu = FiniteMeasure([(0.0, 0.0), (2.0, 2.0)], [0.5, 0.5])
-    M = SecondOrderMeasure([dirac((0.0, 0.0)), mu], [0.5, 0.5])
+    M = FiniteMeasure([dirac((0.0, 0.0)), mu], [0.5, 0.5])
     # hand evaluation of both sides: (0.5, 0.5)
     assert barycenter(cs, flatten(M)) == (0.5, 0.5)
     mapped = FiniteMeasure([barycenter(cs, m) for m, _ in M.items()], M.weights)
@@ -158,7 +159,7 @@ def test_algebra_laws():
 
 def test_algebra_rejects_non_affine_map():
     cs = ConvexSpace(1)
-    M = unit2(FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5]))
+    M = dirac(FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5]))
     with pytest.raises(ValueError, match="affine"):
         check_algebra(cs, [(M, lambda p: (p[0] ** 2,), 1)])
 
@@ -192,8 +193,8 @@ def test_reweight_identity():
 
 def test_second_order_json_round_trip():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
-    M = SecondOrderMeasure([mu, dirac((2.0,))], [0.25, 0.75])
-    back = second_order_from_json(second_order_to_json(M))
+    M = FiniteMeasure([mu, dirac((2.0,))], [0.25, 0.75])
+    back = second_order_from_json(measure_to_json(M))
     assert len(back) == len(M)
     assert measures_equal(flatten(back), flatten(M))
     with pytest.raises(ValueError, match="atoms"):
