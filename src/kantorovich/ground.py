@@ -58,8 +58,8 @@ class GroundMetric:
     def __init__(self, cap: float | None = None):
         if cap is not None:
             cap = float(cap)
-            if cap <= 0:
-                raise ValueError("cap must be a positive real")
+            if not cap > 0:
+                raise ValueError(f"cap must be a positive real, got {cap!r}")
         self.cap = cap
 
     def _raw(self, x: Point, y: Point) -> float:
@@ -225,6 +225,10 @@ def pullback(f: Callable[[Point], Point], p: GroundMetric) -> GroundMetric:
 
 def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
     """Map selecting the given coordinate indices of a coordinate point."""
+    indices = list(indices)
+    for i in indices:
+        if isinstance(i, bool) or not (isinstance(i, int) or float(i).is_integer()):
+            raise ValueError(f"projection indices must be integers, got {indices!r}")
     idx = tuple(int(i) for i in indices)
     if not idx:
         raise ValueError("projection needs at least one coordinate index")

@@ -6,11 +6,15 @@ coupling distance, diameter and isometry preservation, convexity,
 barycenter non-expansion, the monad and algebra laws, the neighborhood
 mass bound, and the pseudometric lifting identities. Instances are drawn
 from numpy's PCG64 generator, so a seed pins the whole suite.
+
+Each law is one row of :data:`LAWS`: a per-sample check plus report names
+and a default tolerance. Its runner folds the checks with
+:func:`~kantorovich.monad.fold_reports`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -27,15 +31,19 @@ from .ground import (
 )
 from .measures import FiniteMeasure, dirac, mix, pushforward
 from .monad import (
+    ALGEBRA_LAWS,
+    MONAD_LAWS,
     ConvexSpace,
     LawReport,
+    algebra_deviations,
     barycenter,
-    check_algebra,
-    check_monad_laws,
     flatten,
+    fold_reports,
     lifted_pseudometric,
+    monad_deviations,
     reweight_series_check,
     second_order_distance,
+    worst,
 )
 from .transport import kantorovich, mass_transport_bound_check
 
@@ -90,163 +98,121 @@ def _random_rotation(rng: np.random.Generator, rows: int, cols: int) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# law runners
+# per-sample law checks
 # ---------------------------------------------------------------------------
+# Each check(rng, s, shared, tol) draws sample s and returns one deviation
+# per report of its row in LAWS; shared is what the row's setup drew.
+
+# ground metrics cycled over samples; laws that need a norm take the first two
+_METRICS = (Euclidean(), Manhattan(), Discrete())
+_PLANE, _CUBE = ConvexSpace(2), ConvexSpace(3)
 
 
-def run_metric_axioms(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _metric_axioms(rng, s, shared, tol):
     """Symmetry and the triangle inequality of the coupling distance."""
-    tol = 1e-8 if tol is None else tol
-    metrics = [Euclidean(), Manhattan(), Discrete()]
-    dev_sym = dev_tri = 0.0
-    for s in range(n):
-        space = random_space(rng, 8, 2, metrics[s % len(metrics)])
-        mu, eta, nu = (random_measure(rng, space.points) for _ in range(3))
-        d_me = kantorovich(space, mu, eta).cost
-        d_em = kantorovich(space, eta, mu).cost
-        d_en = kantorovich(space, eta, nu).cost
-        d_mn = kantorovich(space, mu, nu).cost
-        dev_sym = max(dev_sym, abs(d_me - d_em))
-        dev_tri = max(dev_tri, d_mn - d_me - d_en)
-    return [
-        LawReport("coupling-distance-symmetry", n, dev_sym, dev_sym <= tol),
-        LawReport("coupling-distance-triangle", n, max(0.0, dev_tri), dev_tri <= tol),
-    ]
+    space = random_space(rng, 8, 2, _METRICS[s % 3])
+    mu, eta, nu = (random_measure(rng, space.points) for _ in range(3))
+    d_me = kantorovich(space, mu, eta).cost
+    d_em = kantorovich(space, eta, mu).cost
+    d_en = kantorovich(space, eta, nu).cost
+    d_mn = kantorovich(space, mu, nu).cost
+    return abs(d_me - d_em), d_mn - d_me - d_en
 
 
-def run_diameter_preservation(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _diameter_preservation(rng, s, shared, tol):
     """No pair of measures is farther apart than the space's diameter,
     and a diameter pair of Diracs attains it."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        space = random_space(rng, 8, 2)
-        diam = space.diameter()
-        mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
-        dev = max(dev, kantorovich(space, mu, eta).cost - diam)
-        d = space.metric.pairwise(space.points, space.points)
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        attained = kantorovich(space, dirac(space.points[i]), dirac(space.points[j])).cost
-        dev = max(dev, abs(attained - diam))
-    return [LawReport("diameter-preservation", n, max(0.0, dev), dev <= tol)]
+    space = random_space(rng, 8, 2)
+    diam = space.diameter()
+    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
+    above = kantorovich(space, mu, eta).cost - diam
+    d = space.metric.pairwise(space.points, space.points)
+    i, j = np.unravel_index(int(d.argmax()), d.shape)
+    attained = kantorovich(space, dirac(space.points[i]), dirac(space.points[j])).cost
+    return (worst((above, abs(attained - diam))),)
 
 
-def run_dirac_isometry(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _dirac_isometry(rng, s, shared, tol):
     """Dirac measures sit at exactly the ground distance from each other."""
-    tol = 1e-12 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        space = random_space(rng, 6, 2)
-        x, y = (space.points[int(i)] for i in rng.choice(len(space.points), 2, replace=False))
-        dev = max(dev, abs(kantorovich(space, dirac(x), dirac(y)).cost - space.distance(x, y)))
-    return [LawReport("dirac-isometry", n, dev, dev <= tol)]
+    space = random_space(rng, 6, 2)
+    x, y = (space.points[int(i)] for i in rng.choice(len(space.points), 2, replace=False))
+    return (abs(kantorovich(space, dirac(x), dirac(y)).cost - space.distance(x, y)),)
 
 
-def run_monad_laws(rng, n: int, tol: float | None = None) -> list[LawReport]:
-    tol = 1e-9 if tol is None else tol
-    space = random_space(rng, 10, 2)
-    samples = [random_third_order(rng, space.points) for _ in range(n)]
-    return check_monad_laws(space, samples, tol=tol)
+def _monad_laws(rng, s, space, tol):
+    """Unit and associativity laws of flatten and dirac."""
+    return monad_deviations(random_third_order(rng, space.points))
 
 
-def run_algebra_laws(rng, n: int, tol: float | None = None) -> list[LawReport]:
-    tol = 1e-9 if tol is None else tol
-    space = ConvexSpace(3)
-    pts = random_points(rng, 10, 3)
-    samples = []
-    for _ in range(n):
-        M = random_second_order(rng, pts, 3, 4)
-        A = rng.normal(size=(3, 3))
-        c = rng.normal(size=3)
-        samples.append((M, _affine_map(A, c), 3))
-    return check_algebra(space, samples, tol=tol)
+def _algebra_laws(rng, s, pts, tol):
+    """Barycentric evaluation is an algebra for the monad."""
+    M = random_second_order(rng, pts, 3, 4)
+    A = rng.normal(size=(3, 3))
+    c = rng.normal(size=3)
+    return algebra_deviations(_CUBE, (M, _affine_map(A, c), 3))
 
 
 def _affine_map(A: np.ndarray, c: np.ndarray) -> Callable:
-    def f(p):
-        return tuple(A @ np.asarray(p, dtype=float) + c)
-
-    return f
+    return lambda p: tuple(A @ np.asarray(p, dtype=float) + c)
 
 
-def run_isometry_preservation(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _isometry_preservation(rng, s, shared, tol):
     """Pushing forward along an isometric embedding preserves distances."""
-    tol = 1e-8 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        src = random_space(rng, 8, 2)
-        Q = _random_rotation(rng, 3, 2)
-        c = rng.normal(size=3)
-        f = _affine_map(Q, c)
-        mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
-        dst = GroundSpace([f(p) for p in src.points], Euclidean())
-        lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
-        dev = max(dev, abs(lhs - kantorovich(src, mu, eta).cost))
-    return [LawReport("isometric-embedding-preservation", n, dev, dev <= tol)]
+    src = random_space(rng, 8, 2)
+    Q = _random_rotation(rng, 3, 2)
+    c = rng.normal(size=3)
+    f = _affine_map(Q, c)
+    mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
+    dst = GroundSpace([f(p) for p in src.points], Euclidean())
+    lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
+    return (abs(lhs - kantorovich(src, mu, eta).cost),)
 
 
-def run_nonexpansion_preservation(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _nonexpansion_preservation(rng, s, shared, tol):
     """Pushing forward along a 1-Lipschitz map never increases distance."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for s in range(n):
-        src = random_space(rng, 8, 2)
-        if s % 2 == 0:
-            scale = 0.2 + 0.8 * rng.random()
-            f = _affine_map(scale * _random_rotation(rng, 2, 2), rng.normal(size=2))
-            dst_points = [f(p) for p in src.points]
-        else:
-            f = coordinate_projection([0])
-            dst_points = [f(p) for p in src.points]
-        mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
-        dst = GroundSpace(dst_points, Euclidean())
-        lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
-        dev = max(dev, lhs - kantorovich(src, mu, eta).cost)
-    return [LawReport("nonexpanding-map-preservation", n, max(0.0, dev), dev <= tol)]
+    src = random_space(rng, 8, 2)
+    if s % 2 == 0:
+        scale = 0.2 + 0.8 * rng.random()
+        f = _affine_map(scale * _random_rotation(rng, 2, 2), rng.normal(size=2))
+    else:
+        f = coordinate_projection([0])
+    mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
+    dst = GroundSpace([f(p) for p in src.points], Euclidean())
+    lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
+    return (lhs - kantorovich(src, mu, eta).cost,)
 
 
-def run_sup_distance_identity(
-    rng, n: int, tol: float | None = None, n_measures: int = 20
-) -> list[LawReport]:
+def _sup_distance_identity(rng, s, shared, tol, n_measures: int = 20):
     """The distance between two pushforward maps is the sup of the ground
     distances of their values, attained at a Dirac."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        domain = [f"y{k}" for k in range(10)]
-        space = random_space(rng, 10, 2)
-        table_f = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
-        table_g = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
-        f, g = table_f.__getitem__, table_g.__getitem__
-        sup_d = max(space.distance(f(y), g(y)) for y in domain)
-        for _ in range(n_measures):
-            mu = random_measure(rng, domain)
-            push = kantorovich(space, pushforward(f, mu), pushforward(g, mu)).cost
-            dev = max(dev, push - sup_d)
-        dirac_max = max(
-            kantorovich(space, pushforward(f, dirac(y)), pushforward(g, dirac(y))).cost
-            for y in domain
-        )
-        dev = max(dev, abs(dirac_max - sup_d))
-    return [LawReport("sup-distance-identity", n, max(0.0, dev), dev <= tol)]
+    domain = [f"y{k}" for k in range(10)]
+    space = random_space(rng, 10, 2)
+    table_f = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
+    table_g = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
+    f, g = table_f.__getitem__, table_g.__getitem__
+    sup_d = max(space.distance(f(y), g(y)) for y in domain)
+    mus = (random_measure(rng, domain) for _ in range(n_measures))
+    devs = [kantorovich(space, pushforward(f, mu), pushforward(g, mu)).cost - sup_d for mu in mus]
+    dirac_max = worst(
+        kantorovich(space, pushforward(f, dirac(y)), pushforward(g, dirac(y))).cost
+        for y in domain
+    )
+    devs.append(abs(dirac_max - sup_d))
+    return (worst(devs),)
 
 
-def run_convexity(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _convexity(rng, s, shared, tol):
     """The coupling distance is convex under mixing."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    metrics = [Euclidean(), Manhattan()]
-    for s in range(n):
-        space = random_space(rng, 8, 2, metrics[s % 2])
-        mu, mu2, eta, eta2 = (random_measure(rng, space.points, 4) for _ in range(4))
-        d1 = kantorovich(space, mu, mu2).cost
-        d2 = kantorovich(space, eta, eta2).cost
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            lhs = kantorovich(
-                space, mix([(t, mu), (1 - t, eta)]), mix([(t, mu2), (1 - t, eta2)])
-            ).cost
-            dev = max(dev, lhs - (t * d1 + (1 - t) * d2))
-    return [LawReport("mixing-convexity", n, max(0.0, dev), dev <= tol)]
+    space = random_space(rng, 8, 2, _METRICS[s % 2])
+    mu, mu2, eta, eta2 = (random_measure(rng, space.points, 4) for _ in range(4))
+    d1 = kantorovich(space, mu, mu2).cost
+    d2 = kantorovich(space, eta, eta2).cost
+    gaps = (
+        kantorovich(space, mix([(t, mu), (1 - t, eta)]), mix([(t, mu2), (1 - t, eta2)])).cost
+        - (t * d1 + (1 - t) * d2)
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0)
+    )
+    return (worst(gaps),)
 
 
 def verify_metric_convexity(
@@ -263,21 +229,18 @@ def verify_metric_convexity(
             raise ValueError(f"{metric.kind} metric is not convex")
 
 
-def run_barycenter_nonexpansion(rng, n: int, tol: float | None = None) -> list[LawReport]:
-    """Averaging contracts: barycenters are at most the coupling distance apart."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    metrics = [Euclidean(), Manhattan()]
-    for m in metrics:
+def _convexity_screen(rng):
+    for m in _METRICS[:2]:
         verify_metric_convexity(m, rng)
-    cspace = ConvexSpace(2)
-    for s in range(n):
-        metric = metrics[s % 2]
-        space = random_space(rng, 8, 2, metric)
-        mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
-        lhs = metric(barycenter(cspace, mu), barycenter(cspace, eta))
-        dev = max(dev, lhs - kantorovich(space, mu, eta).cost)
-    return [LawReport("barycenter-nonexpansion", n, max(0.0, dev), dev <= tol)]
+
+
+def _barycenter_nonexpansion(rng, s, shared, tol):
+    """Averaging contracts: barycenters are at most the coupling distance apart."""
+    metric = _METRICS[s % 2]
+    space = random_space(rng, 8, 2, metric)
+    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
+    lhs = metric(barycenter(_PLANE, mu), barycenter(_PLANE, eta))
+    return (lhs - kantorovich(space, mu, eta).cost,)
 
 
 def make_mass_transport_instance(rng, points: Sequence):
@@ -301,44 +264,29 @@ def make_mass_transport_instance(rng, points: Sequence):
     return space, mu, eta, K, eps, delta
 
 
-def run_mass_transport_bound(rng, n: int, tol: float | None = None) -> list[LawReport]:
-    failures = 0
-    for _ in range(n):
-        points = random_points(rng, 10, 2)
-        space, mu, eta, K, eps, delta = make_mass_transport_instance(rng, points)
-        if mass_transport_bound_check(space, mu, eta, K, eps, delta) is not True:
-            failures += 1
-    dev = float(failures)
-    return [LawReport("mass-transport-bound", n, dev, failures == 0)]
+def _mass_transport_bound(rng, s, shared, tol):
+    """The neighborhood mass bound holds; counts failing instances."""
+    space, mu, eta, K, eps, delta = make_mass_transport_instance(rng, random_points(rng, 10, 2))
+    return (float(mass_transport_bound_check(space, mu, eta, K, eps, delta) is not True),)
 
 
-def run_flatten_nonexpansion(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _flatten_nonexpansion(rng, s, shared, tol):
     """Flattening never increases the (second-order) coupling distance."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        space = random_space(rng, 8, 2)
-        M = random_second_order(rng, space.points)
-        N = random_second_order(rng, space.points)
-        outer = second_order_distance(space, M, N).cost
-        inner = kantorovich(space, flatten(M), flatten(N)).cost
-        dev = max(dev, inner - outer)
-    return [LawReport("flatten-nonexpansion", n, max(0.0, dev), dev <= tol)]
+    space = random_space(rng, 8, 2)
+    M = random_second_order(rng, space.points)
+    N = random_second_order(rng, space.points)
+    outer = second_order_distance(space, M, N).cost
+    return (kantorovich(space, flatten(M), flatten(N)).cost - outer,)
 
 
-def run_dirac_flatten_equality(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _dirac_flatten_equality(rng, s, shared, tol):
     """Distance from a doubly Dirac measure equals the distance to the
     flattened measure."""
-    tol = 1e-8 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        space = random_space(rng, 8, 2)
-        x = space.points[int(rng.integers(len(space.points)))]
-        M = random_second_order(rng, space.points)
-        lhs = second_order_distance(space, dirac(dirac(x)), M).cost
-        rhs = kantorovich(space, dirac(x), flatten(M)).cost
-        dev = max(dev, abs(lhs - rhs))
-    return [LawReport("dirac-flatten-equality", n, dev, dev <= tol)]
+    space = random_space(rng, 8, 2)
+    x = space.points[int(rng.integers(len(space.points)))]
+    M = random_second_order(rng, space.points)
+    lhs = second_order_distance(space, dirac(dirac(x)), M).cost
+    return (abs(lhs - kantorovich(space, dirac(x), flatten(M)).cost),)
 
 
 def _random_pseudometric(rng) -> GroundMetric:
@@ -348,39 +296,30 @@ def _random_pseudometric(rng) -> GroundMetric:
     return PullbackMetric(coordinate_projection([axis]), inner)
 
 
-def run_lift_consistency(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _lift_consistency(rng, s, shared, tol):
     """Lifting through the quotient agrees with costing the pseudometric
     directly."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        p = _random_pseudometric(rng)
-        space = random_space(rng, 8, 2, p)
-        mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
-        via_quotient = lifted_pseudometric(space, p, mu, eta)
-        direct = kantorovich(space, mu, eta).cost
-        dev = max(dev, abs(via_quotient - direct))
-    return [LawReport("lift-quotient-consistency", n, dev, dev <= tol)]
+    p = _random_pseudometric(rng)
+    space = random_space(rng, 8, 2, p)
+    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
+    via_quotient = lifted_pseudometric(space, p, mu, eta)
+    return (abs(via_quotient - kantorovich(space, mu, eta).cost),)
 
 
-def run_pullback_lift_commutation(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _pullback_lift_commutation(rng, s, shared, tol):
     """Lifting a pulled-back pseudometric equals lifting after pushforward."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        src = random_space(rng, 8, 2)
-        dst_points = random_points(rng, 6, 2)
-        assignment = {p: dst_points[int(i)] for p, i in zip(src.points, rng.integers(0, 6, 8))}
-        f = assignment.__getitem__
-        p = _random_pseudometric(rng)
-        dst = GroundSpace(dst_points, p)
-        rho = pullback(f, p)
-        rho_space = GroundSpace(src.points, rho)
-        mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
-        lhs = lifted_pseudometric(rho_space, rho, mu, eta)
-        rhs = lifted_pseudometric(dst, p, pushforward(f, mu), pushforward(f, eta))
-        dev = max(dev, abs(lhs - rhs))
-    return [LawReport("pullback-lift-commutation", n, dev, dev <= tol)]
+    src = random_space(rng, 8, 2)
+    dst_points = random_points(rng, 6, 2)
+    assignment = {p: dst_points[int(i)] for p, i in zip(src.points, rng.integers(0, 6, 8))}
+    f = assignment.__getitem__
+    p = _random_pseudometric(rng)
+    dst = GroundSpace(dst_points, p)
+    rho = pullback(f, p)
+    rho_space = GroundSpace(src.points, rho)
+    mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
+    lhs = lifted_pseudometric(rho_space, rho, mu, eta)
+    rhs = lifted_pseudometric(dst, p, pushforward(f, mu), pushforward(f, eta))
+    return (abs(lhs - rhs),)
 
 
 def make_reweight_instance(rng, dim: int = 3):
@@ -400,53 +339,85 @@ def make_reweight_instance(rng, dim: int = 3):
     return pts, lam, m, eps
 
 
-def run_reweight_identity(rng, n: int, tol: float | None = None) -> list[LawReport]:
-    tol = 1e-9 if tol is None else tol
-    failures = 0
-    for _ in range(n):
-        pts, lam, m, eps = make_reweight_instance(rng)
-        if not reweight_series_check(pts, lam, m, eps, tol=tol):
-            failures += 1
-    return [LawReport("reweight-identity", n, float(failures), failures == 0)]
+def _reweight_identity(rng, s, shared, tol):
+    """The convex-combination rewrite keeps the point; counts failures."""
+    pts, lam, m, eps = make_reweight_instance(rng)
+    return (float(not reweight_series_check(pts, lam, m, eps, tol=tol)),)
 
 
-def run_lifted_diameter(rng, n: int, tol: float | None = None) -> list[LawReport]:
+def _lifted_diameter(rng, s, shared, tol):
     """A lifted pseudometric keeps the diameter of the ground pseudometric."""
-    tol = 1e-9 if tol is None else tol
-    dev = 0.0
-    for _ in range(n):
-        p = _random_pseudometric(rng)
-        space = random_space(rng, 8, 2, p)
-        diam = space.diameter()
-        mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
-        dev = max(dev, lifted_pseudometric(space, p, mu, eta) - diam)
-        d = p.pairwise(space.points, space.points)
-        i, j = np.unravel_index(int(d.argmax()), d.shape)
-        attained = lifted_pseudometric(space, p, dirac(space.points[i]), dirac(space.points[j]))
-        dev = max(dev, abs(attained - diam))
-    return [LawReport("lifted-diameter-preservation", n, max(0.0, dev), dev <= tol)]
+    p = _random_pseudometric(rng)
+    space = random_space(rng, 8, 2, p)
+    diam = space.diameter()
+    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
+    above = lifted_pseudometric(space, p, mu, eta) - diam
+    d = p.pairwise(space.points, space.points)
+    i, j = np.unravel_index(int(d.argmax()), d.shape)
+    attained = lifted_pseudometric(space, p, dirac(space.points[i]), dirac(space.points[j]))
+    return (worst((above, abs(attained - diam))),)
 
 
-#: The full suite, in report order.
-LAW_RUNNERS = [
-    run_metric_axioms,
-    run_diameter_preservation,
-    run_dirac_isometry,
-    run_monad_laws,
-    run_algebra_laws,
-    run_isometry_preservation,
-    run_nonexpansion_preservation,
-    run_sup_distance_identity,
-    run_convexity,
-    run_barycenter_nonexpansion,
-    run_mass_transport_bound,
-    run_flatten_nonexpansion,
-    run_dirac_flatten_equality,
-    run_lift_consistency,
-    run_pullback_lift_commutation,
-    run_reweight_identity,
-    run_lifted_diameter,
+# ---------------------------------------------------------------------------
+# the law table
+# ---------------------------------------------------------------------------
+
+
+class Law(NamedTuple):
+    """One row of the suite: report names, default tolerance, per-sample
+    check, optional setup drawn before the first sample, and whether
+    deviations are failure flags to count. The runner of a row is named
+    ``run`` plus the name of its check."""
+
+    reports: tuple[str, ...]
+    tol: float | None
+    check: Callable
+    setup: Callable | None = None
+    count: bool = False
+
+
+LAWS = [
+    Law(("coupling-distance-symmetry", "coupling-distance-triangle"), 1e-8, _metric_axioms),
+    Law(("diameter-preservation",), 1e-9, _diameter_preservation),
+    Law(("dirac-isometry",), 1e-12, _dirac_isometry),
+    Law(MONAD_LAWS, 1e-9, _monad_laws, lambda rng: random_space(rng, 10, 2)),
+    Law(ALGEBRA_LAWS[:3], 1e-9, _algebra_laws, lambda rng: random_points(rng, 10, 3)),
+    Law(("isometric-embedding-preservation",), 1e-8, _isometry_preservation),
+    Law(("nonexpanding-map-preservation",), 1e-9, _nonexpansion_preservation),
+    Law(("sup-distance-identity",), 1e-9, _sup_distance_identity),
+    Law(("mixing-convexity",), 1e-9, _convexity),
+    Law(("barycenter-nonexpansion",), 1e-9, _barycenter_nonexpansion, _convexity_screen),
+    Law(("mass-transport-bound",), None, _mass_transport_bound, count=True),
+    Law(("flatten-nonexpansion",), 1e-9, _flatten_nonexpansion),
+    Law(("dirac-flatten-equality",), 1e-8, _dirac_flatten_equality),
+    Law(("lift-quotient-consistency",), 1e-9, _lift_consistency),
+    Law(("pullback-lift-commutation",), 1e-9, _pullback_lift_commutation),
+    Law(("reweight-identity",), 1e-9, _reweight_identity, count=True),
+    Law(("lifted-diameter-preservation",), 1e-9, _lifted_diameter),
 ]
+
+
+def _runner(law: Law) -> Callable[..., list[LawReport]]:
+    def run(rng, n: int, tol: float | None = None, **params) -> list[LawReport]:
+        shared = law.setup(rng) if law.setup else None
+        check = lambda s, tol: law.check(rng, s, shared, tol, **params)  # noqa: E731
+        return fold_reports(law.reports, check, n, tol, law.tol, law.count)
+
+    run.__name__ = run.__qualname__ = "run" + law.check.__name__
+    run.__doc__ = law.check.__doc__
+    return run
+
+
+#: The full suite, in report order: ``runner(rng, samples, tol, **params)``.
+LAW_RUNNERS = [_runner(law) for law in LAWS]
+(
+    run_metric_axioms, run_diameter_preservation, run_dirac_isometry, run_monad_laws,
+    run_algebra_laws, run_isometry_preservation, run_nonexpansion_preservation,
+    run_sup_distance_identity, run_convexity, run_barycenter_nonexpansion,
+    run_mass_transport_bound, run_flatten_nonexpansion, run_dirac_flatten_equality,
+    run_lift_consistency, run_pullback_lift_commutation, run_reweight_identity,
+    run_lifted_diameter,
+) = LAW_RUNNERS
 
 
 def run_law_suite(seed: int, samples: int = 200, tol: float | None = None) -> list[LawReport]:

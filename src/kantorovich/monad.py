@@ -12,6 +12,8 @@ ground distance itself as the cost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import isfinite, nan
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,23 +153,87 @@ def reweight_series_check(
 
 @dataclass(frozen=True)
 class LawReport:
-    """Outcome of checking one law over a batch of sampled instances."""
+    """Outcome of checking one law over a batch of sampled instances. ``witness``
+    (not serialized) is the sample that set ``max_deviation``, None if it stayed 0."""
 
     law: str
     samples: int
     max_deviation: float
     passed: bool
+    witness: int | None = None
 
     def to_json(self) -> dict:
+        dev = float(self.max_deviation)
         return {
             "law": self.law,
             "samples": self.samples,
-            "max_deviation": float(self.max_deviation),
+            "max_deviation": dev if isfinite(dev) else None,
             "pass": bool(self.passed),
         }
 
 
+def worst(values) -> float:
+    """The largest of ``values`` floored at 0.0, or NaN if any is NaN."""
+    values = list(values)
+    return nan if any(v != v for v in values) else max([0.0, *values])
+
+
+def fold_reports(
+    laws: Sequence[str],
+    check: Callable[[int, float], Sequence[float]],
+    n: int,
+    tol: float | None,
+    default_tol: float | None = WEIGHT_TOL,
+    count: bool = False,
+) -> list[LawReport]:
+    """Fold ``check(s, tol)``, one deviation per law, over samples ``s < n``.
+
+    A law's ``max_deviation`` is the :func:`worst` over samples (so a NaN
+    fails it) and must be at most ``tol``, ``default_tol`` if ``None``.
+    With ``count`` deviations are failure flags and ``max_deviation``
+    counts them. The witness is the last sample that raised the value, or
+    the first to give NaN.
+    """
+    tol = default_tol if tol is None else tol
+    dev = [0.0] * len(laws)
+    witness: list[int | None] = [None] * len(laws)
+    for s in range(n):
+        for k, d in enumerate(check(s, tol)):
+            new = dev[k] + d if count else d
+            if dev[k] == dev[k] and (new > dev[k] or new != new):
+                dev[k], witness[k] = new, s
+    return [
+        LawReport(law, n, d, d == 0.0 if count else d <= tol, w)
+        for law, d, w in zip(laws, dev, witness)
+    ]
+
+
 ThirdOrder = Sequence[tuple[float, FiniteMeasure]]
+
+MONAD_LAWS = (
+    "unit-dirac-of-measure",
+    "unit-measure-of-diracs",
+    "unit-second-order",
+    "flatten-associativity",
+)
+
+
+def monad_deviations(sample: ThirdOrder) -> tuple[float, float, float, float]:
+    """Worst measure deviation of one depth-3 instance, per law of
+    :data:`MONAD_LAWS`."""
+    sample = [(float(t), M) for t, M in sample]
+    outer, inner, second = [], [], []
+    for _, M in sample:
+        for mu, _ in M.items():
+            outer.append(measure_deviation(flatten(dirac(mu)), mu))
+            via_diracs = FiniteMeasure([dirac(p) for p in mu.support], mu.weights)
+            inner.append(measure_deviation(flatten(via_diracs), mu))
+        second.append(measure_deviation(mix([(1.0, M)]), M))
+        redundant = mix([(float(t), dirac(mu)) for mu, t in M.items()])
+        second.append(measure_deviation(redundant, M))
+    lhs = flatten(mix(sample))
+    rhs = flatten(FiniteMeasure([flatten(M) for _, M in sample], [t for t, _ in sample]))
+    return worst(outer), worst(inner), worst(second), measure_deviation(lhs, rhs)
 
 
 def check_monad_laws(
@@ -180,34 +246,48 @@ def check_monad_laws(
     comparing the two ways of collapsing depth 3 to depth 1. The report
     records the worst measure deviation per law.
     """
-    dev_unit_outer = 0.0
-    dev_unit_inner = 0.0
-    dev_unit_second = 0.0
-    dev_assoc = 0.0
-    for sample in samples:
-        sample = [(float(t), M) for t, M in sample]
-        for _, M in sample:
-            for mu, _ in M.items():
-                dev_unit_outer = max(dev_unit_outer, measure_deviation(flatten(dirac(mu)), mu))
-                via_diracs = FiniteMeasure([dirac(p) for p in mu.support], mu.weights)
-                dev_unit_inner = max(dev_unit_inner, measure_deviation(flatten(via_diracs), mu))
-            as_parts = mix([(1.0, M)])
-            dev_unit_second = max(dev_unit_second, measure_deviation(as_parts, M))
-            redundant = mix([(float(t), dirac(mu)) for mu, t in M.items()])
-            dev_unit_second = max(dev_unit_second, measure_deviation(redundant, M))
-        lhs = flatten(mix(sample))
-        rhs = flatten(FiniteMeasure([flatten(M) for _, M in sample], [t for t, _ in sample]))
-        dev_assoc = max(dev_assoc, measure_deviation(lhs, rhs))
-    n = len(samples)
-    return [
-        LawReport("unit-dirac-of-measure", n, dev_unit_outer, dev_unit_outer <= tol),
-        LawReport("unit-measure-of-diracs", n, dev_unit_inner, dev_unit_inner <= tol),
-        LawReport("unit-second-order", n, dev_unit_second, dev_unit_second <= tol),
-        LawReport("flatten-associativity", n, dev_assoc, dev_assoc <= tol),
-    ]
+    return fold_reports(MONAD_LAWS, lambda s, _: monad_deviations(samples[s]), len(samples), tol)
 
 
 AlgebraSample = tuple[FiniteMeasure, Callable[[Point], Point], int]
+
+ALGEBRA_LAWS = (
+    "barycenter-of-dirac",
+    "barycenter-evaluation-orders",
+    "affine-morphism-commutation",
+    "barycenter-nonexpansion",
+)
+
+
+def algebra_deviations(
+    space: ConvexSpace, sample: AlgebraSample, metric: GroundMetric | None = None
+) -> tuple[float, ...]:
+    """Worst deviation of one algebra instance, per law of
+    :data:`ALGEBRA_LAWS` (the last only with a ``metric``)."""
+    M, f, target_dim = sample
+    target = ConvexSpace(target_dim)
+    unit, morphism = [], []
+    for mu, _ in M.items():
+        for x in mu.support:
+            b = barycenter(space, dirac(x))
+            unit.append(float(np.abs(coordinates(b) - coordinates(x)).max()))
+        _require_affine(f, mu.support, space)
+        lhs = coordinates(barycenter(target, pushforward(f, mu)))
+        rhs = coordinates(as_point(f(barycenter(space, mu))))
+        morphism.append(float(np.abs(lhs - rhs).max()))
+    via_flatten = barycenter(space, flatten(M))
+    means = [barycenter(space, mu) for mu in M.support]
+    via_map = barycenter(space, FiniteMeasure(means, M.weights))
+    assoc = float(np.abs(coordinates(via_flatten) - coordinates(via_map)).max())
+    devs = (worst(unit), assoc, worst(morphism))
+    if metric is None:
+        return devs
+    gspace = GroundSpace(sorted({p for mu, _ in M.items() for p in mu.support}), metric)
+    nonexp = [
+        metric(barycenter(space, mu), barycenter(space, nu)) - kantorovich(gspace, mu, nu).cost
+        for mu, nu in combinations(M.support, 2)
+    ]
+    return devs + (worst(nonexp),)
 
 
 def check_algebra(
@@ -226,48 +306,9 @@ def check_algebra(
     a norm) is supplied, barycenter non-expansion against the coupling
     distance is reported as well.
     """
-    dev_unit = 0.0
-    dev_assoc = 0.0
-    dev_morphism = 0.0
-    dev_nonexp = 0.0
-    for M, f, target_dim in samples:
-        target = ConvexSpace(target_dim)
-        for mu, _ in M.items():
-            for x in mu.support:
-                b = barycenter(space, dirac(x))
-                dev_unit = max(dev_unit, float(np.abs(coordinates(b) - coordinates(x)).max()))
-            _require_affine(f, mu.support, space)
-            lhs = coordinates(barycenter(target, pushforward(f, mu)))
-            rhs = coordinates(as_point(f(barycenter(space, mu))))
-            dev_morphism = max(dev_morphism, float(np.abs(lhs - rhs).max()))
-        via_flatten = barycenter(space, flatten(M))
-        via_map = barycenter(
-            space,
-            FiniteMeasure([barycenter(space, mu) for mu, _ in M.items()], M.weights),
-        )
-        dev_assoc = max(
-            dev_assoc, float(np.abs(coordinates(via_flatten) - coordinates(via_map)).max())
-        )
-        if metric is not None:
-            gspace_points = {p for mu, _ in M.items() for p in mu.support}
-            gspace = GroundSpace(sorted(gspace_points), metric)
-            inner = list(M.support)
-            for i in range(len(inner)):
-                for j in range(i + 1, len(inner)):
-                    lhs_d = metric(barycenter(space, inner[i]), barycenter(space, inner[j]))
-                    rhs_d = kantorovich(gspace, inner[i], inner[j]).cost
-                    dev_nonexp = max(dev_nonexp, lhs_d - rhs_d)
-    n = len(samples)
-    reports = [
-        LawReport("barycenter-of-dirac", n, dev_unit, dev_unit <= tol),
-        LawReport("barycenter-evaluation-orders", n, dev_assoc, dev_assoc <= tol),
-        LawReport("affine-morphism-commutation", n, dev_morphism, dev_morphism <= tol),
-    ]
-    if metric is not None:
-        reports.append(
-            LawReport("barycenter-nonexpansion", n, max(0.0, dev_nonexp), dev_nonexp <= tol)
-        )
-    return reports
+    laws = ALGEBRA_LAWS if metric is not None else ALGEBRA_LAWS[:3]
+    check = lambda s, _: algebra_deviations(space, samples[s], metric)  # noqa: E731
+    return fold_reports(laws, check, len(samples), tol)
 
 
 def _require_affine(f, pts: Sequence[Point], space: ConvexSpace, tol: float = 1e-8) -> None:

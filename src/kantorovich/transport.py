@@ -124,60 +124,30 @@ def _northwest_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]
     return arcs, flows
 
 
-def _tree_duals(arcs, C: np.ndarray, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node potentials with u[0] = 0, satisfying u_i + v_j = c_ij on basis arcs."""
-    adj_row: list[list[int]] = [[] for _ in range(m)]
-    adj_col: list[list[int]] = [[] for _ in range(n)]
+def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
+    """Node potentials with u[0] = 0, satisfying u_i + v_j = c_ij on basis
+    arcs, and each node's parent and depth in the basis tree rooted at row
+    0, from one traversal. Rows are nodes ``0..m-1``, columns ``m..m+n-1``.
+    """
+    adj: list[list[int]] = [[] for _ in range(m + n)]
     for i, j in arcs:
-        adj_row[i].append(j)
-        adj_col[j].append(i)
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    u[0] = 0.0
-    stack = [(True, 0)]
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    pot = np.full(m + n, np.nan)
+    pot[0] = 0.0
+    parent = [-1] * (m + n)
+    depth = [0] * (m + n)
+    stack = [0]
     while stack:
-        is_row, k = stack.pop()
-        if is_row:
-            for j in adj_row[k]:
-                if np.isnan(v[j]):
-                    v[j] = C[k, j] - u[k]
-                    stack.append((False, j))
-        else:
-            for i in adj_col[k]:
-                if np.isnan(u[i]):
-                    u[i] = C[i, k] - v[k]
-                    stack.append((True, i))
-    if np.isnan(u).any() or np.isnan(v).any():
+        k = stack.pop()
+        for node in adj[k]:
+            if np.isnan(pot[node]):
+                pot[node] = (C[k, node - m] if k < m else C[node, k - m]) - pot[k]
+                parent[node], depth[node] = k, depth[k] + 1
+                stack.append(node)
+    if np.isnan(pot).any():
         raise RuntimeError("basis does not span the transportation graph")
-    return u, v
-
-
-def _tree_path(arcs, m: int, start_row: int, goal_col: int) -> list[tuple[int, int]]:
-    """Arcs of the unique basis-tree path from a row node to a column node."""
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in arcs:
-        r, c = i, m + j
-        adj.setdefault(r, []).append((c, (i, j)))
-        adj.setdefault(c, []).append((r, (i, j)))
-    start, goal = start_row, m + goal_col
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (start, (-1, -1))}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for nxt, arc in adj.get(node, ()):
-            if nxt not in parent:
-                parent[nxt] = (node, arc)
-                queue.append(nxt)
-    path: list[tuple[int, int]] = []
-    node = goal
-    while node != start:
-        prev, arc = parent[node]
-        path.append(arc)
-        node = prev
-    path.reverse()
-    return path
+    return pot[:m], pot[m:], parent, depth
 
 
 def solve_transport(
@@ -219,7 +189,7 @@ def solve_transport(
         if m == 1 or n == 1:
             # the basis holds every arc: nothing to price
             break
-        u, v = _tree_duals(basis.keys(), C, m, n)
+        u, v, parent, depth = _tree_duals(basis, C, m, n)
         rc = (C - u[:, None] - v[None, :]).ravel()
         for i, j in basis:
             rc[i * n + j] = 0.0
@@ -228,11 +198,22 @@ def solve_transport(
             break
         i0, j0 = divmod(int(candidates[0]), n)
 
-        path = _tree_path(basis.keys(), m, i0, j0)
-        # cycle = entering arc (+θ) followed by the path back; signs alternate,
-        # so path arcs at even positions from the entering side receive -θ
-        minus = path[0::2]
-        plus = path[1::2]
+        # the cycle is the entering arc (+θ) and the tree path between its
+        # ends, climbed from the deeper end until the two meet. Signs
+        # alternate from each end, so the arc from a row up to its parent
+        # gets -θ on row i0's side, and from a column up on column j0's side.
+        minus, plus = [], []
+        x, y = i0, m + j0
+        while x != y:
+            from_i0 = depth[x] >= depth[y]
+            k = x if from_i0 else y
+            p = parent[k]
+            arc = (k, p - m) if k < m else (p, k - m)
+            (minus if (k < m) == from_i0 else plus).append(arc)
+            if from_i0:
+                x = p
+            else:
+                y = p
         theta = min(basis[arc] for arc in minus)
         leaving = min(
             (arc for arc in minus if basis[arc] <= theta), key=lambda ij: ij[0] * n + ij[1]

@@ -99,11 +99,13 @@ def test_laws_command_deterministic_and_green(tmp_path):
 
 
 def test_laws_full_run_green(tmp_path):
-    # the documented full property run: 200 samples per law, exit 0
+    # the documented full property run: 200 samples per law, exit 0, and the
+    # bytes captured before the law runners were folded into one table
     out = tmp_path / "laws200.json"
     assert main(["laws", "--seed", "42", "--samples", "200", "--out", str(out)]) == 0
     reports = json.loads(out.read_text())
     assert all(r["pass"] for r in reports)
+    assert out.read_bytes() == (FIX / "golden" / "laws_seed42_samples200.json").read_bytes()
 
 
 def test_laws_failure_exit_code():
@@ -288,3 +290,29 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: cannot write" in captured.err and captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("coords", ["[0.7]", "[true]", "[0, false]", "[Infinity]"])
+def test_lift_rejects_non_integer_projection_indices(coords, capsys):
+    # int() truncated 0.7 to 0 and read true as 1: p_tau 1.0 and 4.0, exit 0
+    spec = f'{{"kind": "pullback", "coords": {coords}, "inner": {{"kind": "euclidean"}}}}'
+    argv = ["lift", str(FIX / "mu_r2a.json"), str(FIX / "mu_r2b.json"), "--metric", spec]
+    assert main(argv) == 2
+    assert "integers" in capsys.readouterr().err
+
+
+def test_lift_accepts_integral_projection_indices(tmp_path):
+    outs = set()
+    for coords in ("[1]", "[1.0]"):
+        spec = f'{{"kind": "pullback", "coords": {coords}, "inner": {{"kind": "euclidean"}}}}'
+        argv = ["lift", str(FIX / "mu_r2a.json"), str(FIX / "mu_r2b.json"), "--metric", spec]
+        outs.add(run_to_bytes(argv, tmp_path, "lift"))
+    assert len(outs) == 1
+
+
+def test_nan_cap_in_a_metric_spec_exits_2(capsys):
+    argv = ["dist", str(FIX / "mu01.json"), str(FIX / "eta12.json")]
+    assert main(argv + ["--metric", '{"kind": "euclidean", "cap": NaN}']) == 2
+    assert "cap must be a positive real" in capsys.readouterr().err
+    assert main(argv + ["--metric", '{"kind": "euclidean", "cap": Infinity}']) == 0
+    assert json.loads(capsys.readouterr().out) == {"cost": 1.0}

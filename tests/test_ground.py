@@ -61,6 +61,17 @@ def test_dimension_mismatch():
         Euclidean()((0, 0), (1, 2, 3))
 
 
+def test_cap_must_be_positive_and_not_nan():
+    # cap <= 0 let NaN through: Euclidean(cap=nan) gave NaN distances
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="cap must be a positive real"):
+            Euclidean(cap=bad)
+    unbounded = Euclidean(cap=float("inf"))
+    pts = [(0.0, 0.0), (3.0, 4.0)]
+    assert unbounded((0.0, 0.0), (3.0, 4.0)) == 5.0
+    assert GroundSpace(pts, unbounded).diameter() == 5.0
+
+
 def test_cap_truncates():
     d = Euclidean(cap=2.0)
     assert d((0,), (10,)) == 2.0

@@ -1,0 +1,137 @@
+"""The network simplex against a frozen copy of its earlier pivot loop.
+
+``reference_solve`` is the loop as it stood when the spanning tree was
+traversed twice per pivot (once for the potentials, once for the entering
+cycle). The potentials along a tree path and the cycle of an entering arc
+do not depend on how the tree is traversed, so the current solver must
+return the same cost and the same ``gamma`` bytes on every instance.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from kantorovich.transport import _northwest_basis, solve_transport
+
+
+def _reference_tree_duals(arcs, C, m, n):
+    adj_row = [[] for _ in range(m)]
+    adj_col = [[] for _ in range(n)]
+    for i, j in arcs:
+        adj_row[i].append(j)
+        adj_col[j].append(i)
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    stack = [(True, 0)]
+    while stack:
+        is_row, k = stack.pop()
+        if is_row:
+            for j in adj_row[k]:
+                if np.isnan(v[j]):
+                    v[j] = C[k, j] - u[k]
+                    stack.append((False, j))
+        else:
+            for i in adj_col[k]:
+                if np.isnan(u[i]):
+                    u[i] = C[i, k] - v[k]
+                    stack.append((True, i))
+    return u, v
+
+
+def _reference_tree_path(arcs, m, start_row, goal_col):
+    adj = {}
+    for i, j in arcs:
+        r, c = i, m + j
+        adj.setdefault(r, []).append((c, (i, j)))
+        adj.setdefault(c, []).append((r, (i, j)))
+    start, goal = start_row, m + goal_col
+    parent = {start: (start, (-1, -1))}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if node == goal:
+            break
+        for nxt, arc in adj.get(node, ()):
+            if nxt not in parent:
+                parent[nxt] = (node, arc)
+                queue.append(nxt)
+    path = []
+    node = goal
+    while node != start:
+        prev, arc = parent[node]
+        path.append(arc)
+        node = prev
+    path.reverse()
+    return path
+
+
+def reference_solve(C, a, b):
+    C = np.asarray(C, dtype=float)
+    m, n = C.shape
+    arcs, flows = _northwest_basis(np.asarray(a, float), np.asarray(b, float))
+    basis = dict(zip(arcs, flows))
+    rc_tol = 1e-11 * max(1.0, float(np.abs(C).max()))
+    while m > 1 and n > 1:
+        u, v = _reference_tree_duals(basis.keys(), C, m, n)
+        rc = (C - u[:, None] - v[None, :]).ravel()
+        for i, j in basis:
+            rc[i * n + j] = 0.0
+        candidates = np.flatnonzero(rc < -rc_tol)
+        if candidates.size == 0:
+            break
+        i0, j0 = divmod(int(candidates[0]), n)
+        path = _reference_tree_path(basis.keys(), m, i0, j0)
+        minus, plus = path[0::2], path[1::2]
+        theta = min(basis[arc] for arc in minus)
+        leaving = min(
+            (arc for arc in minus if basis[arc] <= theta), key=lambda ij: ij[0] * n + ij[1]
+        )
+        for arc in minus:
+            basis[arc] -= theta
+        for arc in plus:
+            basis[arc] += theta
+        del basis[leaving]
+        basis[(i0, j0)] = theta
+    gamma = np.zeros((m, n))
+    for (i, j), f in basis.items():
+        gamma[i, j] = max(f, 0.0)
+    return float((gamma * C).sum()), gamma
+
+
+def assert_same_as_reference(C, a, b):
+    cost, gamma = solve_transport(C, a, b)
+    ref_cost, ref_gamma = reference_solve(C, a, b)
+    assert cost == ref_cost
+    assert gamma.tobytes() == ref_gamma.tobytes()
+
+
+def test_small_random_and_tied_instances_match_the_reference():
+    rng = np.random.default_rng(2024)
+    for k in range(3000):
+        m, n = (int(x) for x in rng.integers(1, 7, 2))
+        if k % 2:
+            # integer costs and weights: ties in costs and degenerate flows
+            C = rng.integers(0, 4, (m, n)).astype(float)
+            a, b = rng.integers(1, 4, m).astype(float), rng.integers(1, 4, n).astype(float)
+            a, b = a / a.sum(), b / b.sum()
+        else:
+            C = rng.random((m, n))
+            a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+            a, b = a / a.sum(), b / b.sum()
+        if abs(a.sum() - b.sum()) > 1e-9:
+            continue
+        assert_same_as_reference(C, a, b)
+
+
+def test_degenerate_grid_instances_match_the_reference():
+    # uniform weights on distinct points of a 16x16 integer grid under
+    # Manhattan: tied costs and zero-step pivots
+    rng = np.random.default_rng(16)
+    grid = np.array([(i, j) for i in range(16) for j in range(16)], dtype=float)
+    for n in (16, 24, 32):
+        x = grid[rng.choice(len(grid), n, replace=False)]
+        y = grid[rng.choice(len(grid), n, replace=False)]
+        C = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
+        w = np.full(n, 1.0 / n)
+        assert_same_as_reference(C, w, w)
