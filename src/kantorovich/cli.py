@@ -13,28 +13,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .ground import GroundSpace, metric_from_spec
 from .laws import run_law_suite
-from .measures import measure_from_json, measure_to_json, second_order_from_json
+from .measures import WEIGHT_TOL, measure_from_json, measure_to_json, second_order_from_json
 from .monad import ConvexSpace, barycenter, flatten, lifted_pseudometric, second_order_distance
 from .points import distinct_points, point_to_json
 from .transport import kantorovich
-
-
-@dataclass
-class JobConfig:
-    """One resolved CLI invocation."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    metric: str | None = None
-    seed: int = 0
-    samples: int = 200
-    tol: float | None = None
-    out: str | None = None
 
 
 def _load_json(path: str):
@@ -48,17 +35,12 @@ def _load_json(path: str):
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _resolve_metric(spec: str | None):
-    if spec is None:
-        raise ValueError("this command needs --metric")
+def _resolve_metric(spec: str):
     try:
         is_file = Path(spec).is_file()
-    except OSError:
-        # e.g. an inline JSON spec longer than a file name may be
+    except OSError:  # e.g. an inline JSON spec longer than a file name may be
         is_file = False
-    if is_file:
-        return metric_from_spec(_load_json(spec))
-    return metric_from_spec(spec)
+    return metric_from_spec(_load_json(spec) if is_file else spec)
 
 
 def _space_for(metric, *measures) -> GroundSpace:
@@ -70,50 +52,65 @@ def _emit(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def run(config: JobConfig) -> tuple[int, str]:
-    """Execute a job; returns (exit code, JSON payload)."""
-    if config.tol is not None and not 0.0 <= config.tol < math.inf:
-        raise ValueError(f"--tol must be a finite nonnegative number, got {config.tol!r}")
-    mass_tol = config.tol if config.tol is not None else 1e-9
-    if config.command == "dist":
-        metric = _resolve_metric(config.metric)
-        mu = measure_from_json(_load_json(config.inputs[0]), mass_tol=mass_tol)
-        eta = measure_from_json(_load_json(config.inputs[1]), mass_tol=mass_tol)
-        result = kantorovich(_space_for(metric, mu, eta), mu, eta)
-        return 0, _emit({"cost": float(result.cost)})
-    if config.command == "coupling":
-        metric = _resolve_metric(config.metric)
-        mu = measure_from_json(_load_json(config.inputs[0]), mass_tol=mass_tol)
-        eta = measure_from_json(_load_json(config.inputs[1]), mass_tol=mass_tol)
-        result = kantorovich(_space_for(metric, mu, eta), mu, eta)
-        return 0, _emit(result.to_json())
-    if config.command == "barycenter":
-        mu = measure_from_json(_load_json(config.inputs[0]), mass_tol=mass_tol)
-        first = mu.support[0]
-        if isinstance(first, str):
-            raise ValueError("barycenter needs coordinate atoms, got labels")
-        space = ConvexSpace(len(first))
-        return 0, _emit(point_to_json(barycenter(space, mu)))
-    if config.command == "flatten":
-        M = second_order_from_json(_load_json(config.inputs[0]), mass_tol=mass_tol)
-        return 0, _emit(measure_to_json(flatten(M)))
-    if config.command == "dist2":
-        metric = _resolve_metric(config.metric)
-        M = second_order_from_json(_load_json(config.inputs[0]), mass_tol=mass_tol)
-        N = second_order_from_json(_load_json(config.inputs[1]), mass_tol=mass_tol)
-        space = _space_for(metric, *M.support, *N.support)
-        return 0, _emit(second_order_distance(space, M, N).to_json())
-    if config.command == "lift":
-        metric = _resolve_metric(config.metric)
-        mu = measure_from_json(_load_json(config.inputs[0]), mass_tol=mass_tol)
-        eta = measure_from_json(_load_json(config.inputs[1]), mass_tol=mass_tol)
-        space = _space_for(metric, mu, eta)
-        return 0, _emit({"p_tau": float(lifted_pseudometric(space, metric, mu, eta))})
-    if config.command == "laws":
-        reports = run_law_suite(config.seed, config.samples, config.tol)
-        payload = _emit([r.to_json() for r in reports])
-        return (0 if all(r.passed for r in reports) else 1), payload
-    raise ValueError(f"unknown command {config.command!r}")
+def _load(args, loader) -> list:
+    """The command's input files, read by ``loader`` at the ``--tol`` mass tolerance."""
+    mass_tol = WEIGHT_TOL if args.tol is None else args.tol
+    return [loader(_load_json(path), mass_tol=mass_tol) for path in args.inputs]
+
+
+def _pair(args):
+    mu, eta = _load(args, measure_from_json)
+    return _space_for(args.metric, mu, eta), mu, eta
+
+
+def _barycenter(args):
+    (mu,) = _load(args, measure_from_json)
+    if isinstance(mu.support[0], str):
+        raise ValueError("barycenter needs coordinate atoms, got labels")
+    return 0, point_to_json(barycenter(ConvexSpace(len(mu.support[0])), mu))
+
+
+def _dist2(args):
+    M, N = _load(args, second_order_from_json)
+    return 0, second_order_distance(_space_for(args.metric, *M.support, *N.support), M, N).to_json()
+
+
+def _lift(args):
+    space, mu, eta = _pair(args)
+    return 0, {"p_tau": float(lifted_pseudometric(space, args.metric, mu, eta))}
+
+
+def _laws(args):
+    reports = run_law_suite(args.seed, args.samples, args.tol)
+    return (0 if all(r.passed for r in reports) else 1), [r.to_json() for r in reports]
+
+
+class Command(NamedTuple):
+    """A subcommand; ``run`` maps its parsed arguments to ``(exit code, JSON value)``."""
+
+    name: str
+    help: str
+    n_inputs: int
+    needs_metric: bool
+    run: Callable[[argparse.Namespace], tuple[int, object]]
+    tol_help: str = "weight-sum tolerance of the loaded measures (default 1e-9)"
+    flags: tuple = ()
+
+
+COMMANDS = (
+    Command("dist", "coupling distance between two measures", 2, True,
+            lambda args: (0, {"cost": float(kantorovich(*_pair(args)).cost)})),
+    Command("coupling", "optimal coupling between two measures", 2, True,
+            lambda args: (0, kantorovich(*_pair(args)).to_json())),
+    Command("barycenter", "barycenter of a coordinate measure", 1, False, _barycenter),
+    Command("flatten", "mixture of a measure of measures", 1, False,
+            lambda args: (0, measure_to_json(flatten(*_load(args, second_order_from_json))))),
+    Command("dist2", "distance between measures of measures", 2, True, _dist2),
+    Command("lift", "lifted pseudometric between two measures", 2, True, _lift),
+    Command("laws", "run the seeded law suite", 0, False, _laws, tol_help="tolerance of every law",
+            flags=(("--seed", dict(type=int, default=0, help="PRNG seed (PCG64)")),
+                   ("--samples", dict(type=int, default=200, help="samples per law")))),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -123,57 +120,39 @@ def _build_parser() -> argparse.ArgumentParser:
         "finitely supported measures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, n_inputs, needs_metric):
-        for k in range(n_inputs):
-            p.add_argument(f"input{k}", help="path to a JSON input file")
-        if needs_metric:
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(cmd=cmd)
+        if cmd.n_inputs:
+            p.add_argument("inputs", nargs=cmd.n_inputs, metavar="input", help="JSON input file")
+        if cmd.needs_metric:
             p.add_argument("--metric", required=True, help="metric spec (JSON, kind name, or file)")
-        p.add_argument("--seed", type=int, default=0, help="PRNG seed (PCG64)")
-        p.add_argument("--samples", type=int, default=200, help="samples per law")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        for flag, options in cmd.flags:
+            p.add_argument(flag, **options)
+        p.add_argument("--tol", type=float, default=None, help=cmd.tol_help)
         p.add_argument("--out", default=None, help="write output here instead of stdout")
-
-    common(sub.add_parser("dist", help="coupling distance between two measures"), 2, True)
-    common(sub.add_parser("coupling", help="optimal coupling between two measures"), 2, True)
-    common(sub.add_parser("barycenter", help="barycenter of a coordinate measure"), 1, False)
-    common(sub.add_parser("flatten", help="mixture of a measure of measures"), 1, False)
-    common(sub.add_parser("dist2", help="distance between measures of measures"), 2, True)
-    common(sub.add_parser("lift", help="lifted pseudometric between two measures"), 2, True)
-    common(sub.add_parser("laws", help="run the seeded law suite"), 0, False)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> JobConfig:
-    inputs = tuple(
-        getattr(args, f"input{k}") for k in range(3) if hasattr(args, f"input{k}")
-    )
-    return JobConfig(
-        command=args.command,
-        inputs=inputs,
-        metric=getattr(args, "metric", None),
-        seed=args.seed,
-        samples=args.samples,
-        tol=args.tol,
-        out=args.out,
-    )
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        code, payload = run(config)
-        if config.out:
-            try:
-                Path(config.out).write_text(payload)
-            except OSError as exc:
-                raise ValueError(f"cannot write {config.out}: {exc}") from None
+        if args.tol is not None and not 0.0 <= args.tol < math.inf:
+            raise ValueError(f"--tol must be a finite nonnegative number, got {args.tol!r}")
+        if args.cmd.needs_metric:
+            args.metric = _resolve_metric(args.metric)
+        code, value = args.cmd.run(args)
+        payload = _emit(value)
+        if not args.out:
+            sys.stdout.write(payload)
+            return code
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.out}: {exc}") from None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not config.out:
-        sys.stdout.write(payload)
     return code
 
 

@@ -131,8 +131,7 @@ class TableMetric(GroundMetric):
     """Explicit distance table over a fixed point list.
 
     The table itself must satisfy all pseudometric axioms; this is
-    validated at construction (exhaustively up to 64 points, by seeded
-    sampling above that).
+    validated exhaustively at construction, at any size.
     """
 
     kind = "table"

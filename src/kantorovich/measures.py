@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .points import Point, PointIndex, as_point, is_finite, point_from_json, point_to_json
+from .points import Point, PointIndex, as_point, is_finite, point_to_json
 
 #: Tolerance on the weight sum accepted at construction, and on weight
 #: comparison in measure equality.
@@ -192,10 +192,6 @@ class FiniteMeasure(SubProbabilityMeasure):
             raise ValueError(f"weights sum to {total:.12g}, expected 1")
         self._store(index, w / total)
 
-    @classmethod
-    def from_dict(cls, mapping: dict, **kwargs) -> "FiniteMeasure":
-        return cls(list(mapping.keys()), list(mapping.values()), **kwargs)
-
 
 def dirac(x) -> FiniteMeasure:
     """Unit mass at a single atom, a point or a measure: the monad unit."""
@@ -341,7 +337,7 @@ def _load_measure(obj, key: str, mass_tol: float) -> FiniteMeasure:
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("measure JSON needs a nonempty 'atoms' list")
-    load = point_from_json if key == "point" else partial(measure_from_json, mass_tol=mass_tol)
+    load = as_point if key == "point" else partial(measure_from_json, mass_tol=mass_tol)
     xs, ws = [], []
     for i, entry in enumerate(atoms):
         if not isinstance(entry, dict) or key not in entry or "w" not in entry:

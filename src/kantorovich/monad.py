@@ -151,10 +151,11 @@ def reweight_series_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LawReport:
     """Outcome of checking one law over a batch of sampled instances. ``witness``
-    (not serialized) is the sample that set ``max_deviation``, None if it stayed 0."""
+    (not serialized) is the sample that set ``max_deviation``, None if it stayed 0.
+    Reports compare by field, with a NaN deviation equal to a NaN deviation."""
 
     law: str
     samples: int
@@ -170,6 +171,16 @@ class LawReport:
             "max_deviation": dev if isfinite(dev) else None,
             "pass": bool(self.passed),
         }
+
+    def _key(self) -> tuple:
+        dev = self.max_deviation
+        return (self.law, self.samples, dev if dev == dev else "nan", self.passed, self.witness)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, LawReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def worst(values) -> float:

@@ -108,10 +108,6 @@ def point_to_json(p: Point):
     return [point_to_json(e) for e in p]
 
 
-def point_from_json(obj: Any) -> Point:
-    return as_point(obj)
-
-
 #: Width of the hash cells of :class:`PointIndex`: a power of two, so that
 #: scaling a coordinate to cell units is exact, and far wider than
 #: ``COORD_TOL``, so that few coordinates lie near a cell edge. Cells are

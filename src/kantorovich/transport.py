@@ -32,6 +32,12 @@ COST_TOL = 1e-9
 #: Coupling entries below this are serialized as exact zeros.
 EMIT_ZERO_BELOW = 1e-15
 
+#: The simplex gives up after ``PIVOTS_PER_ARC * (m*n + 10)`` pivots.
+PIVOTS_PER_ARC = 200
+
+#: Largest support the permutation oracle enumerates (8! permutations).
+MAX_PERMUTATION_ATOMS = 8
+
 
 @dataclass(frozen=True)
 class Coupling:
@@ -41,32 +47,15 @@ class Coupling:
     cols: tuple
     gamma: np.ndarray
 
-    def row_marginal(self) -> np.ndarray:
-        return self.gamma.sum(axis=1)
-
-    def col_marginal(self) -> np.ndarray:
-        return self.gamma.sum(axis=0)
-
     def cost_against(self, cost_matrix: np.ndarray) -> float:
         return float((self.gamma * cost_matrix).sum())
 
     def check_marginals(self, mu: FiniteMeasure, eta: FiniteMeasure, tol: float = COST_TOL) -> bool:
         return (
-            np.abs(self.row_marginal() - mu.weights).max() <= tol
-            and np.abs(self.col_marginal() - eta.weights).max() <= tol
+            np.abs(self.gamma.sum(axis=1) - mu.weights).max() <= tol
+            and np.abs(self.gamma.sum(axis=0) - eta.weights).max() <= tol
             and float(self.gamma.min()) >= -tol
         )
-
-    def to_measure(self) -> FiniteMeasure:
-        """The coupling as a measure on pair points (zero cells dropped)."""
-        atoms, weights = [], []
-        for i, x in enumerate(self.rows):
-            for j, y in enumerate(self.cols):
-                w = float(self.gamma[i, j])
-                if w > 0.0:
-                    atoms.append((x, y))
-                    weights.append(w)
-        return FiniteMeasure(atoms, weights)
 
     def to_json(self, cost: float | None = None) -> dict:
         g = np.where(np.abs(self.gamma) < EMIT_ZERO_BELOW, 0.0, self.gamma)
@@ -150,9 +139,7 @@ def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
     return pot[:m], pot[m:], parent, depth
 
 
-def solve_transport(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray, max_iter: int | None = None
-) -> tuple[float, np.ndarray]:
+def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact minimum-cost transportation plan between weight vectors.
 
     Runs the primal network simplex on the bipartite graph with a
@@ -182,10 +169,8 @@ def solve_transport(
     arcs, flows = _northwest_basis(a, b)
     basis = dict(zip(arcs, flows))
     rc_tol = 1e-11 * max(1.0, c_max)
-    if max_iter is None:
-        max_iter = 200 * (m * n + 10)
 
-    for _ in range(max_iter):
+    for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
         if m == 1 or n == 1:
             # the basis holds every arc: nothing to price
             break
@@ -433,9 +418,9 @@ def brute_force_distance(
 ) -> TransportResult:
     """Independent oracle for the coupling minimum.
 
-    Uses permutation enumeration for uniform equal-size supports and
-    spanning-tree vertex enumeration when both supports have at most 4
-    atoms; raises for instances outside both regimes.
+    Uses permutation enumeration for uniform equal-size supports of at
+    most 8 atoms and spanning-tree vertex enumeration when both supports
+    have at most 4 atoms; raises for instances outside both regimes.
     """
     C = cost_matrix(space, mu.support, eta.support)
     m, n = C.shape
@@ -444,7 +429,7 @@ def brute_force_distance(
         and np.abs(mu.weights - 1.0 / m).max() <= 1e-12
         and np.abs(eta.weights - 1.0 / n).max() <= 1e-12
     )
-    if uniform:
+    if uniform and m <= MAX_PERMUTATION_ATOMS:
         cost, gamma = _permutation_oracle(C)
         solver = "brute-permutation"
     elif m <= 4 and n <= 4:
@@ -452,7 +437,8 @@ def brute_force_distance(
         solver = "vertex-enumeration"
     else:
         raise ValueError(
-            "brute force needs uniform equal-size supports or supports of at most 4 atoms"
+            f"brute force needs uniform equal-size supports of at most {MAX_PERMUTATION_ATOMS}"
+            " atoms or supports of at most 4 atoms"
         )
     return TransportResult(cost, Coupling(mu.support, eta.support, gamma), solver)
 

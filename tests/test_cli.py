@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kantorovich
-from kantorovich.cli import JobConfig, main, run
+from kantorovich.cli import main
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -108,11 +108,31 @@ def test_laws_full_run_green(tmp_path):
     assert out.read_bytes() == (FIX / "golden" / "laws_seed42_samples200.json").read_bytes()
 
 
-def test_laws_failure_exit_code():
+def test_laws_failure_exit_code(tmp_path):
     # an absurdly tight tolerance forces honest law failures
-    code, payload = run(JobConfig(command="laws", seed=1, samples=2, tol=1e-30))
+    out = tmp_path / "laws_fail.json"
+    code = main(["laws", "--seed", "1", "--samples", "2", "--tol", "1e-30", "--out", str(out)])
     assert code == 1
-    assert any(not r["pass"] for r in json.loads(payload))
+    assert any(not r["pass"] for r in json.loads(out.read_text()))
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--samples"])
+@pytest.mark.parametrize("argv", GOLDEN_COMMANDS[4:], ids=lambda argv: argv[0])
+def test_law_flags_are_rejected_by_other_commands(argv, flag, capsys):
+    # every command used to accept and ignore them
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag} 1" in captured.err and captured.out == ""
+
+
+def test_laws_takes_seed_samples_tol_and_out(tmp_path):
+    out = tmp_path / "laws.json"
+    argv = ["laws", "--seed", "42", "--samples", "2", "--tol", "1e-6", "--out", str(out)]
+    assert main(argv) == 0
+    reports = json.loads(out.read_text())
+    assert reports and all(r["samples"] == 2 and r["pass"] for r in reports)
 
 
 def test_invalid_input_exits_2(capsys):

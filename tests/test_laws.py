@@ -73,6 +73,17 @@ def test_nan_deviation_fails_every_report_that_reads_it(monkeypatch):
             assert math.isnan(r.max_deviation) and r.to_json()["max_deviation"] is None
 
 
+def test_reports_with_nan_deviations_compare_equal(monkeypatch):
+    # field equality made NaN != NaN, so identical runs compared unequal
+    _nan_costs(monkeypatch)
+    a, b = run_law_suite(3, 2), run_law_suite(3, 2)
+    assert any(math.isnan(r.max_deviation) for r in a)
+    assert a == b and [hash(r) for r in a] == [hash(r) for r in b]
+    nan_report = next(r for r in a if math.isnan(r.max_deviation))
+    assert nan_report != dataclasses.replace(nan_report, max_deviation=math.inf)
+    assert nan_report != dataclasses.replace(nan_report, witness=None)
+
+
 def test_laws_command_under_nan_exits_1_with_valid_json(monkeypatch, capsys):
     _nan_costs(monkeypatch)
     assert main(["laws", "--seed", "3", "--samples", "2"]) == 1

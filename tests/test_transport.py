@@ -190,6 +190,50 @@ def test_brute_force_regime_errors():
         brute_force_distance(space, mu, eta)
 
 
+def test_permutation_oracle_stops_at_eight_atoms():
+    # 9 atoms already enumerate 362,880 permutations; each atom more is n times that
+    space = line_space(*range(18))
+    pts = space.points
+    eight = [FiniteMeasure(pts[k : k + 8], [1 / 8] * 8) for k in (0, 10)]
+    assert brute_force_distance(space, *eight).cost == pytest.approx(10.0, abs=COST_TOL)
+    mu = FiniteMeasure(pts[:9], [1 / 9] * 9)
+    eta = FiniteMeasure(pts[9:], [1 / 9] * 9)
+    with pytest.raises(ValueError, match="at most 8 atoms or supports of at most 4"):
+        brute_force_distance(space, mu, eta)
+
+
+def _highs_cost(linprog, C, a, b) -> float:
+    m, n = C.shape
+    rows = np.kron(np.eye(m), np.ones(n))
+    cols = np.kron(np.ones(m), np.eye(n))
+    res = linprog(C.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_simplex_matches_highs():
+    # a third oracle, beyond the 4-atom and 8-atom reach of brute force
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(31)
+    shapes = [(5, 5), (5, 9), (12, 12), (17, 8), (25, 25), (15, 40), (40, 15), (40, 40)]
+    for m, n in shapes:
+        for tied in (False, True):
+            if tied:
+                C = rng.integers(0, 4, (m, n)).astype(float)
+                a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+            else:
+                C = rng.random((m, n))
+                a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+                a, b = a / a.sum(), b / b.sum()
+            cost, gamma = solve_transport(C, a, b)
+            assert abs(cost - _highs_cost(linprog, C, a, b)) <= COST_TOL, (m, n, tied)
+    # tied integer costs with uniform weights: the most degenerate pivots
+    C = rng.integers(0, 4, (60, 60)).astype(float)
+    a = b = np.full(60, 1.0 / 60)
+    assert abs(solve_transport(C, a, b)[0] - _highs_cost(linprog, C, a, b)) <= COST_TOL
+
+
 def test_oracle_equivalence_batch():
     rng = np.random.default_rng(23)
     for _ in range(50):
