@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from numbers import Real
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .points import Point, PointIndex, as_point, is_coordinate, is_finite, points_equal
+from .points import (
+    Point,
+    PointIndex,
+    as_point,
+    canonical_coordinates,
+    is_coordinate,
+    is_finite,
+    json_number,
+    points_equal,
+)
 
 #: Geometry tolerance for axiom checks and zero-distance identification.
 GEOMETRY_TOL = 1e-12
@@ -23,25 +33,24 @@ GEOMETRY_TOL = 1e-12
 #: distance matrix; above it, on sampled triples.
 EXHAUSTIVE_POINTS = 64
 
+#: Entries of the largest intermediate array of the exhaustive triangle
+#: check (128 KiB of floats): it compares the table with the paths through
+#: as many middle points at once as fit, and through at least one.
+TRIANGLE_BLOCK = 1 << 14
+
 
 class MetricAxiomError(ValueError):
     """A sampled pair or triple violates the pseudometric axioms."""
 
 
-def _coord_arrays(xs: Sequence[Point], ys: Sequence[Point], kind: str):
-    """Arrays of two nonempty coordinate point lists; canonicalizes only if needed."""
-    arrays = []
-    for pts in (xs, ys):
-        if not all(map(is_coordinate, pts)):
-            pts = [as_point(p) for p in pts]
-            bad = [p for p in pts if not is_coordinate(p)]
-            if bad:
-                raise ValueError(f"{kind} metric requires coordinate points, got {bad[0]!r}")
-        arrays.append(np.array(pts, dtype=float))
-    a, b = arrays
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return a, b
+def _coord_array(pts: Sequence[Point], kind: str) -> np.ndarray:
+    """Array of a nonempty coordinate point list; canonicalizes only if needed."""
+    if not canonical_coordinates(pts):
+        pts = [as_point(p) for p in pts]
+        bad = [p for p in pts if not is_coordinate(p)]
+        if bad:
+            raise ValueError(f"{kind} metric requires coordinate points, got {bad[0]!r}")
+    return np.array(pts, dtype=float)
 
 
 class GroundMetric:
@@ -91,7 +100,10 @@ class _NormMetric(GroundMetric):
     def pairwise(self, xs, ys):
         if len(xs) == 0 or len(ys) == 0:
             return np.zeros((len(xs), len(ys)))
-        a, b = _coord_arrays(xs, ys, self.kind)
+        a = _coord_array(xs, self.kind)
+        b = a if ys is xs else _coord_array(ys, self.kind)
+        if a.shape[1] != b.shape[1]:
+            raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
         return self._capped(self._norm_matrix(a[:, None, :] - b[None, :, :]))
 
 
@@ -176,9 +188,16 @@ class PullbackMetric(GroundMetric):
         self.f = f
         self.inner = inner
 
+    def _images(self, pts: Sequence[Point]) -> list[Point]:
+        f = self.f
+        if not canonical_coordinates(pts):
+            pts = [as_point(p) for p in pts]
+        images = [f(p) for p in pts]
+        return images if canonical_coordinates(images) else [as_point(q) for q in images]
+
     def pairwise(self, xs, ys):
-        fx = [as_point(self.f(as_point(x))) for x in xs]
-        fy = fx if ys is xs else [as_point(self.f(as_point(y))) for y in ys]
+        fx = self._images(xs)
+        fy = fx if ys is xs else self._images(ys)
         return self._capped(self.inner.pairwise(fx, fy))
 
 
@@ -226,19 +245,22 @@ def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
     """Map selecting the given coordinate indices of a coordinate point."""
     indices = list(indices)
     for i in indices:
-        if isinstance(i, bool) or not (isinstance(i, int) or float(i).is_integer()):
+        if isinstance(i, bool) or not isinstance(i, Real) or not float(i).is_integer():
             raise ValueError(f"projection indices must be integers, got {indices!r}")
     idx = tuple(int(i) for i in indices)
     if not idx:
         raise ValueError("projection needs at least one coordinate index")
+    # the fewest coordinates every index fits: i < len for i >= 0, -i <= len else
+    need = max(max(idx) + 1, -min(idx))
 
     def project(p):
         q = as_point(p)
-        if not is_coordinate(q):
+        # a canonical point is a coordinate point when its first entry is a float
+        if isinstance(q, str) or not isinstance(q[0], float):
             raise ValueError(f"cannot project non-coordinate point {p!r}")
-        if any(i >= len(q) or i < -len(q) for i in idx):
+        if len(q) < need:
             raise ValueError(f"projection indices {idx} out of range for {q!r}")
-        return tuple(q[i] for i in idx)
+        return tuple([q[i] for i in idx])
 
     return project
 
@@ -251,7 +273,9 @@ class GroundSpace:
     """
 
     def __init__(self, points: Iterable, metric: GroundMetric):
-        pts = tuple(as_point(p) for p in points)
+        pts = tuple(points)
+        if not canonical_coordinates(pts):
+            pts = tuple(as_point(p) for p in pts)
         if not pts:
             raise ValueError("a ground space needs at least one point")
         labels: set[str] = set()
@@ -312,9 +336,13 @@ def _validate_matrix_axioms(d: np.ndarray, tol: float = GEOMETRY_TOL) -> None:
         raise MetricAxiomError("nonzero self-distance in table")
     if (np.abs(d - d.T) > tol).any():
         raise MetricAxiomError("asymmetric distance table")
+    # d[i, j] > d[i, k] + d[k, j] + tol, for a block of middle points k at a time
     n = d.shape[0]
-    for k in range(n):
-        if (d > d[:, [k]] + d[[k], :] + tol).any():
+    step = max(1, TRIANGLE_BLOCK // max(1, n * n))
+    for k in range(0, n, step):
+        via = d[:, k : k + step].T[:, :, None] + d[k : k + step, None, :]
+        via += tol
+        if (d > via).any():
             raise MetricAxiomError("triangle inequality violated in table")
 
 
@@ -387,8 +415,8 @@ def quotient(
     _check_axioms(d, pts, _sampled_triples(len(pts)), tol)
     reps: list[int] = []
     mapping: dict[Point, Point] = {}
-    for i, pt in enumerate(pts):
-        r = next((r for r in reps if d[i, r] <= tol), i)
+    for i, (pt, row) in enumerate(zip(pts, d.tolist())):
+        r = next((r for r in reps if row[r] <= tol), i)
         if r == i:
             reps.append(i)
         mapping[pt] = pts[r]
@@ -439,14 +467,14 @@ def metric_from_spec(spec) -> GroundMetric:
         raise ValueError("metric spec is missing 'kind'")
     if not isinstance(kind, str):
         raise ValueError(f"metric spec 'kind' must be a string, got {kind!r}")
-    cap = None if spec.get("cap") is None else _spec_field(spec, "cap", float)
+    cap = None if spec.get("cap") is None else _spec_field(spec, "cap", json_number)
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind](cap=cap)
     if kind == "table":
         if "points" not in spec or "d" not in spec:
             raise ValueError("table metric spec needs 'points' and 'd'")
         points = _spec_field(spec, "points", lambda pts: [as_point(p) for p in pts])
-        d = _spec_field(spec, "d", lambda d: np.asarray(d, dtype=float))
+        d = _spec_field(spec, "d", lambda d: np.array([[*map(json_number, r)] for r in d]))
         return TableMetric(points, d, cap=cap)
     if kind == "pullback":
         if "coords" not in spec or "inner" not in spec:
@@ -462,8 +490,9 @@ def metric_from_spec(spec) -> GroundMetric:
 
 
 def _spec_field(spec: dict, name: str, convert: Callable):
-    """``convert(spec[name])``; a wrong JSON type raises a ValueError naming the field."""
+    """``convert(spec[name])``; a wrong JSON type or value raises a ValueError
+    naming the field."""
     try:
         return convert(spec[name])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"metric spec '{name}': {exc}") from None

@@ -53,7 +53,7 @@ from .transport import kantorovich, mass_transport_bound_check
 
 
 def random_points(rng: np.random.Generator, n: int, dim: int = 2) -> list[tuple]:
-    return [tuple(row) for row in rng.random((n, dim))]
+    return [tuple(row) for row in rng.random((n, dim)).tolist()]
 
 
 def random_space(
@@ -68,7 +68,7 @@ def random_measure(
     k = int(rng.integers(1, min(max_support, len(points)) + 1))
     idx = rng.choice(len(points), size=k, replace=False)
     w = rng.random(k) + 0.1
-    return FiniteMeasure([points[i] for i in idx], w / w.sum())
+    return FiniteMeasure([points[i] for i in idx.tolist()], w / w.sum())
 
 
 def random_second_order(
@@ -153,7 +153,7 @@ def _algebra_laws(rng, s, pts, tol):
 
 
 def _affine_map(A: np.ndarray, c: np.ndarray) -> Callable:
-    return lambda p: tuple(A @ np.asarray(p, dtype=float) + c)
+    return lambda p: tuple((A @ np.asarray(p, dtype=float) + c).tolist())
 
 
 def _isometry_preservation(rng, s, shared, tol):
@@ -221,10 +221,10 @@ def verify_metric_convexity(
     """Spot-check that a metric is convex before using it in barycenter
     non-expansion runs."""
     for _ in range(samples):
-        x, x2, y, y2 = (tuple(v) for v in rng.random((4, dim)))
+        x, x2, y, y2 = (tuple(v) for v in rng.random((4, dim)).tolist())
         t = float(rng.random())
-        mid1 = tuple(t * np.asarray(x) + (1 - t) * np.asarray(y))
-        mid2 = tuple(t * np.asarray(x2) + (1 - t) * np.asarray(y2))
+        mid1 = tuple((t * np.asarray(x) + (1 - t) * np.asarray(y)).tolist())
+        mid2 = tuple((t * np.asarray(x2) + (1 - t) * np.asarray(y2)).tolist())
         if metric(mid1, mid2) > t * metric(x, x2) + (1 - t) * metric(y, y2) + 1e-9:
             raise ValueError(f"{metric.kind} metric is not convex")
 

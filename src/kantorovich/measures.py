@@ -22,7 +22,15 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .points import Point, PointIndex, as_point, is_finite, point_to_json
+from .points import (
+    Point,
+    PointIndex,
+    as_point,
+    canonical_coordinates,
+    is_finite,
+    json_number,
+    point_to_json,
+)
 
 #: Tolerance on the weight sum accepted at construction, and on weight
 #: comparison in measure equality.
@@ -66,7 +74,7 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     atoms = list(atoms)
     # the atom kind is decided once, by the first atom
     of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
-    pts = atoms if of_measures else [as_point(a) for a in atoms]
+    pts = atoms if of_measures or canonical_coordinates(atoms) else [as_point(a) for a in atoms]
     if not isinstance(weights, np.ndarray):
         weights = list(weights)
     # numpy's conversion, which reads None as NaN; then plain floats
@@ -81,6 +89,7 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     first: dict[Point, int] = {}
     totals: list[float] = []
     slots: list[int] = []
+    find_or_add = index.find_or_add
     try:
         for p, wi in zip(pts, ws):
             if not 0.0 < wi < inf:
@@ -90,20 +99,22 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
                 if not is_finite(p):
                     raise ValueError(f"coordinates must be finite, got {p!r}")
                 continue
-            k = first.get(p)
-            if k is None:
-                first[p] = len(totals)
+            k = first.setdefault(p, len(totals))
+            if k == len(totals):
                 totals.append(wi)
-                slots.append(index.find_or_add(p))
+                slots.append(find_or_add(p))
             else:
                 totals[k] += wi
     except ValueError:
         # an invalid weight anywhere is reported before an invalid point
         _check_weights(ws)
         raise
-    merged = [0.0] * len(index.points)
-    for i, t in zip(slots, totals):
-        merged[i] += t
+    # with no tolerant merge, every total is alone in its slot, in order
+    merged = totals
+    if len(index.points) < len(totals):
+        merged = [0.0] * len(index.points)
+        for i, t in zip(slots, totals):
+            merged[i] += t
     return index, np.asarray(merged, dtype=float)
 
 
@@ -138,7 +149,7 @@ class SubProbabilityMeasure:
     def _store(self, index: PointIndex, w: np.ndarray) -> None:
         self._index = index
         self._support = tuple(index.points)
-        w.flags.writeable = False
+        w.setflags(write=False)
         self._weights = w
 
     @property
@@ -190,7 +201,9 @@ class FiniteMeasure(SubProbabilityMeasure):
         total = float(w.sum())
         if abs(total - 1.0) > mass_tol:
             raise ValueError(f"weights sum to {total:.12g}, expected 1")
-        self._store(index, w / total)
+        if total != 1.0:  # dividing by 1.0 changes no weight
+            w /= total
+        self._store(index, w)
 
 
 def dirac(x) -> FiniteMeasure:
@@ -217,7 +230,7 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
         if t == 0.0:
             continue
         atoms.extend(mu.support)
-        weights.extend(t * mu.weights)
+        weights.extend((t * mu.weights).tolist())
     return FiniteMeasure(atoms, weights)
 
 
@@ -344,9 +357,12 @@ def _load_measure(obj, key: str, mass_tol: float) -> FiniteMeasure:
             raise ValueError(f"atom {i} must be an object with '{key}' and 'w'")
         try:
             xs.append(load(entry[key]))
-            ws.append(float(entry["w"]))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"atom {i}: {exc}") from None
+        try:
+            ws.append(json_number(entry["w"]))
+        except ValueError as exc:
+            raise ValueError(f"atom {i}: 'w': {exc}") from None
     return FiniteMeasure(xs, ws, mass_tol=mass_tol)
 
 

@@ -17,9 +17,9 @@ a scan over every stored point.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import floor, isfinite
-from typing import Any, Hashable, Iterable, Union
+from typing import Any, Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +30,8 @@ Point = Union[str, tuple]
 COORD_TOL = 1e-12
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
+_TUPLE = frozenset((tuple,))
+_FLOAT = frozenset((float,))
 
 
 def as_point(obj: Any) -> Point:
@@ -40,7 +42,7 @@ def as_point(obj: Any) -> Point:
     becomes a product point with each entry canonicalized recursively.
     A canonical coordinate point is returned as it is.
     """
-    if type(obj) is tuple and obj and all(type(e) is float for e in obj):
+    if type(obj) is tuple and obj and _FLOAT.issuperset(map(type, obj)):
         return obj
     if isinstance(obj, str):
         return obj
@@ -57,6 +59,17 @@ def as_point(obj: Any) -> Point:
             return tuple(float(e) for e in obj)
         return tuple(as_point(e) for e in obj)
     raise TypeError(f"cannot interpret {obj!r} as a point")
+
+
+def canonical_coordinates(pts: Sequence) -> bool:
+    """True when every entry of ``pts`` is a nonempty tuple of floats, of
+    exactly those types: a coordinate point that :func:`as_point` returns
+    as it is."""
+    return (
+        _TUPLE.issuperset(map(type, pts))
+        and all(pts)
+        and _FLOAT.issuperset(map(type, chain.from_iterable(pts)))
+    )
 
 
 def is_coordinate(p: Point) -> bool:
@@ -106,6 +119,14 @@ def point_to_json(p: Point):
     if is_coordinate(p):
         return list(p)
     return [point_to_json(e) for e in p]
+
+
+def json_number(value) -> float:
+    """``value`` as a float if it is a number; a boolean, a string or any
+    other JSON value raises a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, _NUMBER_TYPES):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 #: Width of the hash cells of :class:`PointIndex`: a power of two, so that

@@ -90,27 +90,23 @@ def cost_matrix(space: GroundSpace, xs: Sequence[Point], ys: Sequence[Point]) ->
 # ---------------------------------------------------------------------------
 
 
-def _northwest_basis(a: np.ndarray, b: np.ndarray) -> tuple[list[tuple[int, int]], list[float]]:
-    """Northwest-corner starting basis: m + n - 1 arcs forming a staircase."""
-    m, n = len(a), len(b)
-    ra = a.tolist()
-    rb = b.tolist()
-    arcs: list[tuple[int, int]] = []
-    flows: list[float] = []
+def _northwest_basis(ra: list[float], rb: list[float]) -> dict[tuple[int, int], float]:
+    """Northwest-corner starting basis: m + n - 1 arcs forming a staircase,
+    each with its flow. Uses up the row and column masses ``ra`` and ``rb``."""
+    m, n = len(ra), len(rb)
+    basis: dict[tuple[int, int], float] = {}
     i = j = 0
     while True:
         t = min(ra[i], rb[j])
-        arcs.append((i, j))
-        flows.append(t)
+        basis[(i, j)] = t
         ra[i] -= t
         rb[j] -= t
         if i == m - 1 and j == n - 1:
-            break
+            return basis
         if j == n - 1 or (i < m - 1 and ra[i] <= rb[j]):
             i += 1
         else:
             j += 1
-    return arcs, flows
 
 
 def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
@@ -161,13 +157,14 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float,
     a_sum, b_sum = float(a.sum()), float(b.sum())
     if not (isfinite(a_sum) and isfinite(b_sum)):
         raise ValueError("weights must be finite, got a non-finite entry")
-    if a.min() < 0 or b.min() < 0:
+    ra, rb = a.tolist(), b.tolist()
+    # the sums are finite, so no weight is NaN
+    if min(ra) < 0 or min(rb) < 0:
         raise ValueError("weights must be nonnegative, got a negative entry")
     if abs(a_sum - b_sum) > COST_TOL:
         raise ValueError("weight vectors must carry equal total mass")
 
-    arcs, flows = _northwest_basis(a, b)
-    basis = dict(zip(arcs, flows))
+    basis = _northwest_basis(ra, rb)
     rc_tol = 1e-11 * max(1.0, c_max)
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):

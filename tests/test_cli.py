@@ -336,3 +336,42 @@ def test_nan_cap_in_a_metric_spec_exits_2(capsys):
     assert "cap must be a positive real" in capsys.readouterr().err
     assert main(argv + ["--metric", '{"kind": "euclidean", "cap": Infinity}']) == 0
     assert json.loads(capsys.readouterr().out) == {"cost": 1.0}
+
+
+# JSON values that are not numbers were read through float() or int(): each
+# of these ran with exit 0 (weight 1.0, cap 1.0 or 0.5, a table entry 1.0,
+# projection onto coordinate 1), or failed with a message naming no field
+
+
+@pytest.mark.parametrize("w", ["true", '"1"'])
+def test_weight_that_is_not_a_number_exits_2(tmp_path, capsys, w):
+    bad = _write(tmp_path, "w.json", f'{{"atoms": [{{"point": [0], "w": {w}}}]}}')
+    assert main(["dist", bad, str(FIX / "delta0.json"), "--metric", "euclidean"]) == 2
+    captured = capsys.readouterr()
+    assert "atom 0: 'w'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("cap", ["true", '"0.5"'])
+def test_cap_that_is_not_a_number_exits_2(capsys, cap):
+    argv = ["dist", str(FIX / "mu01.json"), str(FIX / "eta12.json")]
+    assert main(argv + ["--metric", f'{{"kind": "euclidean", "cap": {cap}}}']) == 2
+    captured = capsys.readouterr()
+    assert "'cap'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("entry", ["true", '"1"'])
+def test_table_entry_that_is_not_a_number_exits_2(capsys, entry):
+    spec = f'{{"kind": "table", "points": ["a", "b"], "d": [[0, {entry}], [{entry}, 0]]}}'
+    argv = ["dist", str(FIX / "label_a.json"), str(FIX / "label_b.json"), "--metric", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "'d'" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("coords", ['["1"]', '["1.0"]'])
+def test_projection_index_that_is_not_a_number_exits_2(capsys, coords):
+    spec = f'{{"kind": "pullback", "coords": {coords}, "inner": {{"kind": "euclidean"}}}}'
+    argv = ["lift", str(FIX / "mu_r2a.json"), str(FIX / "mu_r2b.json"), "--metric", spec]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "'coords'" in captured.err and "integers" in captured.err and captured.out == ""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kantorovich import ground
 from kantorovich.ground import (
     Chebyshev,
     Discrete,
@@ -430,3 +431,63 @@ def test_metric_defining_only_raw_works_everywhere():
     assert q.points == ((0.0, 1.0), (1.0, 0.0), (4.0, 4.0))
     assert proj((0.0, 2.0)) == (0.0, 1.0)
     assert q.distance((0.0, 1.0), (4.0, 4.0)) == 2.5
+
+
+def _k_loop_axioms(d, tol=GEOM_TOL):
+    """The table check with the triangle inequality read one middle point at a
+    time; the message of the first violation, or None."""
+    if not np.isfinite(d).all():
+        return "distances must be finite, got a non-finite entry"
+    if (d < -tol).any():
+        return "negative distance in table"
+    if (np.abs(np.diag(d)) > tol).any():
+        return "nonzero self-distance in table"
+    if (np.abs(d - d.T) > tol).any():
+        return "asymmetric distance table"
+    for k in range(d.shape[0]):
+        if (d > d[:, [k]] + d[[k], :] + tol).any():
+            return "triangle inequality violated in table"
+    return None
+
+
+def _axiom_outcome(d):
+    try:
+        ground._validate_matrix_axioms(d)
+    except MetricAxiomError as exc:
+        return str(exc)
+    return None
+
+
+def _perturbed_tables(rng, n):
+    """Tables whose triangle bounds are tight, each with a pair (i, j) whose
+    distance the caller moves by a multiple of the tolerance, to land on
+    both sides of it. On dyadic points of a line every point in between is
+    a witness; in a star (distance 2, or 1 to the hub) only the hub is, at
+    every position."""
+    x = rng.integers(0, 4 * n, n) / 4.0
+    yield np.abs(x[:, None] - x[None, :]), *rng.choice(n, 2, replace=False)
+    for hub in range(n if n > 2 else 0):
+        star = 2.0 - np.eye(n) * 2.0
+        star[hub, :] = star[:, hub] = 1.0
+        star[hub, hub] = 0.0
+        yield star, *rng.choice([k for k in range(n) if k != hub], 2, replace=False)
+
+
+@pytest.mark.parametrize("block", [None, 1, 100, 1000])
+def test_blocked_triangle_check_rejects_what_the_k_loop_rejects(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(ground, "TRIANGLE_BLOCK", block)
+    rng = np.random.default_rng(8)
+    sizes = [2, 3, 5, 8, 13] * 8 + ([70] if block is None else [])
+    outcomes = set()
+    for n in sizes:
+        for d, i, j in _perturbed_tables(rng, n):
+            d[i, j] += rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 4.0]) * GEOM_TOL
+            d[j, i] = d[i, j]
+            expected = _k_loop_axioms(d)
+            assert _axiom_outcome(d) == expected, (n, i, j)
+            outcomes.add(expected)
+    assert {None, "triangle inequality violated in table"} <= outcomes
+    if block is None:
+        # 70 points are more than one block of middle points
+        assert 70 > ground.TRIANGLE_BLOCK // 70**2

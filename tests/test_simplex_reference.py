@@ -4,13 +4,16 @@
 traversed twice per pivot (once for the potentials, once for the entering
 cycle). The potentials along a tree path and the cycle of an entering arc
 do not depend on how the tree is traversed, so the current solver must
-return the same cost and the same ``gamma`` bytes on every instance.
+return the same cost and the same ``gamma`` bytes on every instance, after
+as many pricing rounds. Pivot counts are the exact regression signal of the
+solver, so their totals are pinned as well.
 """
 
 from collections import deque
 
 import numpy as np
 
+from kantorovich import transport
 from kantorovich.transport import _northwest_basis, solve_transport
 
 
@@ -67,12 +70,15 @@ def _reference_tree_path(arcs, m, start_row, goal_col):
 
 
 def reference_solve(C, a, b):
+    """The frozen loop: cost, gamma, and the number of pricing rounds (the
+    pivots plus the round that finds no entering arc)."""
     C = np.asarray(C, dtype=float)
     m, n = C.shape
-    arcs, flows = _northwest_basis(np.asarray(a, float), np.asarray(b, float))
-    basis = dict(zip(arcs, flows))
+    basis = _northwest_basis(np.asarray(a, float).tolist(), np.asarray(b, float).tolist())
     rc_tol = 1e-11 * max(1.0, float(np.abs(C).max()))
+    rounds = 0
     while m > 1 and n > 1:
+        rounds += 1
         u, v = _reference_tree_duals(basis.keys(), C, m, n)
         rc = (C - u[:, None] - v[None, :]).ravel()
         for i, j in basis:
@@ -96,18 +102,36 @@ def reference_solve(C, a, b):
     gamma = np.zeros((m, n))
     for (i, j), f in basis.items():
         gamma[i, j] = max(f, 0.0)
-    return float((gamma * C).sum()), gamma
+    return float((gamma * C).sum()), gamma, rounds
 
 
 def assert_same_as_reference(C, a, b):
-    cost, gamma = solve_transport(C, a, b)
-    ref_cost, ref_gamma = reference_solve(C, a, b)
+    """Same cost, same gamma bytes, and as many pricing rounds as the
+    reference loop; the live solver's rounds are its ``_tree_duals`` calls.
+    Returns the number of rounds."""
+    calls = 0
+    tree_duals = transport._tree_duals
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return tree_duals(*args)
+
+    transport._tree_duals = counted
+    try:
+        cost, gamma = solve_transport(C, a, b)
+    finally:
+        transport._tree_duals = tree_duals
+    ref_cost, ref_gamma, rounds = reference_solve(C, a, b)
     assert cost == ref_cost
     assert gamma.tobytes() == ref_gamma.tobytes()
+    assert calls == rounds
+    return rounds
 
 
 def test_small_random_and_tied_instances_match_the_reference():
     rng = np.random.default_rng(2024)
+    rounds = 0
     for k in range(3000):
         m, n = (int(x) for x in rng.integers(1, 7, 2))
         if k % 2:
@@ -121,7 +145,9 @@ def test_small_random_and_tied_instances_match_the_reference():
             a, b = a / a.sum(), b / b.sum()
         if abs(a.sum() - b.sum()) > 1e-9:
             continue
-        assert_same_as_reference(C, a, b)
+        rounds += assert_same_as_reference(C, a, b)
+    # pinned: a change to the pivot sequence must be recorded here
+    assert rounds == 14214
 
 
 def test_degenerate_grid_instances_match_the_reference():
@@ -129,9 +155,12 @@ def test_degenerate_grid_instances_match_the_reference():
     # Manhattan: tied costs and zero-step pivots
     rng = np.random.default_rng(16)
     grid = np.array([(i, j) for i in range(16) for j in range(16)], dtype=float)
+    rounds = []
     for n in (16, 24, 32):
         x = grid[rng.choice(len(grid), n, replace=False)]
         y = grid[rng.choice(len(grid), n, replace=False)]
         C = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
         w = np.full(n, 1.0 / n)
-        assert_same_as_reference(C, w, w)
+        rounds.append(assert_same_as_reference(C, w, w))
+    # pinned: a change to the pivot sequence must be recorded here
+    assert rounds == [180, 656, 907]
