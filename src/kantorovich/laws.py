@@ -14,6 +14,7 @@ and a default tolerance. Its runner folds the checks with
 
 from __future__ import annotations
 
+from math import isfinite, nan
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -267,6 +268,9 @@ def make_mass_transport_instance(rng, points: Sequence):
 def _mass_transport_bound(rng, s, shared, tol):
     """The neighborhood mass bound holds; counts failing instances."""
     space, mu, eta, K, eps, delta = make_mass_transport_instance(rng, random_points(rng, 10, 2))
+    if not (isfinite(eps) and isfinite(delta)):
+        # a non-finite distance leaves no instance to check
+        return (nan,)
     return (float(mass_transport_bound_check(space, mu, eta, K, eps, delta) is not True),)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isfinite, nan
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +49,8 @@ class ConvexSpace:
     """
 
     def __init__(self, dim: int, contains: Callable[[Point], bool] | None = None):
+        if isinstance(dim, bool) or not isinstance(dim, Real) or not float(dim).is_integer():
+            raise ValueError(f"dimension must be an integer, got {dim!r}")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = int(dim)
@@ -85,6 +88,11 @@ def second_order_distance(
     over ``space``; the inner distance matrix is computed once per call
     and fed to the same exact solver.
     """
+    for name, outer in (("M", M), ("N", N)):
+        if not isinstance(outer.support[0], FiniteMeasure):
+            raise TypeError(
+                f"{name} must be a measure of measures, not of points like {outer.support[0]!r}"
+            )
     D = np.zeros((len(M), len(N)))
     for i, m in enumerate(M.support):
         for j, nmeas in enumerate(N.support):
@@ -128,6 +136,9 @@ def reweight_series_check(
     n = len(xs)
     if len(lam) != n or len(eps) != n:
         raise ValueError("points, weights, and epsilons must have equal length")
+    for name, arr in (("lam", lam), ("eps", eps)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
     if (lam < 0).any() or abs(lam.sum() - 1.0) > WEIGHT_TOL:
         raise ValueError("weights must be nonnegative and sum to 1")
     if not 0 <= m < n or lam[m] <= 0:

@@ -71,7 +71,7 @@ def test_nan_deviation_fails_every_report_that_reads_it(monkeypatch):
     failed = {r.law for r in reports if not r.passed}
     assert failed == READS_KANTOROVICH
     for r in reports:
-        if r.law in READS_KANTOROVICH and r.law != "mass-transport-bound":
+        if r.law in READS_KANTOROVICH:
             assert math.isnan(r.max_deviation) and r.to_json()["max_deviation"] is None
 
 

@@ -199,3 +199,31 @@ def test_second_order_json_round_trip():
     assert measures_equal(flatten(back), flatten(M))
     with pytest.raises(ValueError, match="atoms"):
         second_order_from_json({"measure": {}})
+
+
+def test_reweight_identity_rejects_non_finite_entries():
+    # NaN passed every range check and the check returned False
+    pts = [(0.0,), (1.0,)]
+    with pytest.raises(ValueError, match="^eps must be finite"):
+        reweight_series_check(pts, [0.5, 0.5], 0, [np.nan, 1.0])
+    with pytest.raises(ValueError, match="^lam must be finite"):
+        reweight_series_check(pts, [np.nan, 0.5], 1, [1.0, 1.0])
+    with pytest.raises(ValueError, match="^eps must be finite"):
+        reweight_series_check(pts, [0.5, 0.5], 0, [1.0, np.inf])
+
+
+def test_second_order_distance_rejects_measures_of_points():
+    space = GroundSpace([(0.0,), (1.0,)], Euclidean())
+    with pytest.raises(TypeError, match="^M must be a measure of measures"):
+        second_order_distance(space, dirac((0.0,)), dirac(dirac((1.0,))))
+    with pytest.raises(TypeError, match="^N must be a measure of measures"):
+        second_order_distance(space, dirac(dirac((0.0,))), dirac((1.0,)))
+
+
+def test_convex_space_dimension_must_be_an_integer():
+    for dim in (2.5, True, "2", np.nan):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            ConvexSpace(dim)
+    assert ConvexSpace(2.0).dim == ConvexSpace(np.int64(2)).dim == 2
+    with pytest.raises(ValueError, match="at least 1"):
+        ConvexSpace(0)

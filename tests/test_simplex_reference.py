@@ -12,6 +12,7 @@ solver, so their totals are pinned as well.
 from collections import deque
 
 import numpy as np
+import pytest
 
 from kantorovich import transport
 from kantorovich.transport import _northwest_basis, solve_transport
@@ -164,3 +165,31 @@ def test_degenerate_grid_instances_match_the_reference():
         rounds.append(assert_same_as_reference(C, w, w))
     # pinned: a change to the pivot sequence must be recorded here
     assert rounds == [180, 656, 907]
+
+
+def _pricing_instances():
+    # square shapes from 6x6 to 12x12 and two thin ones, on both sides of
+    # SCAN_PRICING_CELLS and at it; random and tied integer costs, each also
+    # scaled by 1e6 and 1e-6, since the pricing threshold scales with the
+    # largest cost
+    rng = np.random.default_rng(77)
+    for m, n in [(k, k) for k in range(6, 13)] + [(2, 40), (40, 2)]:
+        for tied in (False, True):
+            if tied:
+                C = rng.integers(0, 4, (m, n)).astype(float)
+                a, b = rng.integers(1, 4, m).astype(float), rng.integers(1, 4, n).astype(float)
+            else:
+                C = rng.random((m, n))
+                a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+            for scale in (1.0, 1e6, 1e-6):
+                yield C * scale, a / a.sum(), b / b.sum()
+
+
+@pytest.mark.parametrize("cells", [None, 0, 10**6], ids=["cutoff", "mask", "scan"])
+def test_both_pricing_paths_match_the_reference(monkeypatch, cells):
+    # each path on every instance, and the split the module constant makes
+    if cells is not None:
+        monkeypatch.setattr(transport, "SCAN_PRICING_CELLS", cells)
+    rounds = sum(assert_same_as_reference(C, a, b) for C, a, b in _pricing_instances())
+    # pinned: a change to the pivot sequence must be recorded here
+    assert rounds == 2658

@@ -377,3 +377,29 @@ def test_mass_transport_bound_examples():
         space2, dirac((0.0,)), dirac((0.4,)), lambda p: p[0] == 0.0, eps=0.1, delta=0.1
     )
     assert na is None
+
+
+def test_mass_transport_bound_rejects_non_finite_parameters():
+    # a NaN made both hypothesis comparisons false and read as a failed theorem
+    space = line_space(0)
+    mu = dirac((0.0,))
+    for eps, delta, name in ((np.nan, 0.5, "eps"), (0.5, np.nan, "delta"), (np.inf, 0.5, "eps")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            mass_transport_bound_check(space, mu, mu, lambda p: True, eps=eps, delta=delta)
+    assert mass_transport_bound_check(space, mu, mu, lambda p: True, eps=0.5, delta=0.5) is True
+
+
+def test_lipschitz_gap_rejects_a_non_finite_or_negative_constant():
+    # with L = NaN every Lipschitz comparison was false and the bound came out NaN
+    space = line_space(0, 1)
+    mu, eta = dirac((0.0,)), dirac((1.0,))
+    for L in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="^L must be finite and nonnegative"):
+            lipschitz_gap(space, mu, eta, lambda p: 5.0 * p[0], L=L)
+    assert lipschitz_gap(space, mu, eta, lambda p: 3.0, L=0.0) == (0.0, 0.0)
+
+
+def test_solve_transport_rejects_a_cost_matrix_that_is_not_2d():
+    for C in (np.array([0.5]), np.array(0.5), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match="cost matrix must be 2-D"):
+            solve_transport(C, [1.0], [1.0])
