@@ -29,18 +29,14 @@ from .points import (
 #: Geometry tolerance for axiom checks and zero-distance identification.
 GEOMETRY_TOL = 1e-12
 
-#: Up to this many points, pseudometric axioms are checked on the full
-#: distance matrix; above it, on sampled triples.
-EXHAUSTIVE_POINTS = 64
-
-#: Entries of the largest intermediate array of the exhaustive triangle
-#: check (128 KiB of floats): it compares the table with the paths through
-#: as many middle points at once as fit, and through at least one.
+#: Entries of the largest intermediate array of the triangle check (128 KiB
+#: of floats): it compares the table with the paths through as many middle
+#: points at once as fit, and through at least one.
 TRIANGLE_BLOCK = 1 << 14
 
 
 class MetricAxiomError(ValueError):
-    """A sampled pair or triple violates the pseudometric axioms."""
+    """A pair or triple of points violates the pseudometric axioms."""
 
 
 def _coord_array(pts: Sequence[Point], kind: str) -> np.ndarray:
@@ -142,8 +138,9 @@ class Discrete(GroundMetric):
 class TableMetric(GroundMetric):
     """Explicit distance table over a fixed point list.
 
-    The table itself must satisfy all pseudometric axioms; this is
-    validated exhaustively at construction, at any size.
+    The points must be distinct under :func:`points_equal`, and the table
+    must satisfy the pseudometric axioms on every pair and triple; both
+    are checked at construction, at any size.
     """
 
     kind = "table"
@@ -155,11 +152,13 @@ class TableMetric(GroundMetric):
         k = len(self.points)
         if self.table.shape != (k, k):
             raise ValueError(f"distance table must be {k}x{k}, got {self.table.shape}")
-        self._index = {p: i for i, p in enumerate(self.points)}
-        if len(self._index) != k:
-            raise ValueError("table points must be distinct")
         self._near = PointIndex(self.points)
-        _validate_matrix_axioms(self.table)
+        for i, p in enumerate(self.points):
+            j = self._near.find(p)
+            if j != i:
+                raise ValueError(f"table points must be distinct, got {self.points[j]!r} and {p!r}")
+        self._index = {p: i for i, p in enumerate(self.points)}
+        _validate_matrix_axioms(self.table, self.points)
 
     def _lookup(self, p: Point) -> int:
         i = self._index.get(p)
@@ -326,97 +325,70 @@ class GroundSpace:
         return f"<GroundSpace {len(self.points)} points, metric={self.metric.kind!r}>"
 
 
-def _validate_matrix_axioms(d: np.ndarray, tol: float = GEOMETRY_TOL) -> None:
-    """Check a full distance matrix for the pseudometric axioms."""
+def _validate_matrix_axioms(d: np.ndarray, pts: Sequence[Point]) -> None:
+    """Check ``d``, the distance matrix of ``pts``, for the pseudometric
+    axioms on every pair and triple, within ``GEOMETRY_TOL``.
+
+    Checks finiteness, sign, self-distance, symmetry and then the triangle
+    inequality. :class:`MetricAxiomError` names the points of the first
+    violation: the first pair in row-major order, or for a triangle the
+    smallest middle point, then its first pair of ends in row-major order.
+    """
+    tol = GEOMETRY_TOL
     if not np.isfinite(d).all():
         raise MetricAxiomError("distances must be finite, got a non-finite entry")
-    if (d < -tol).any():
-        raise MetricAxiomError("negative distance in table")
-    if (np.abs(np.diag(d)) > tol).any():
-        raise MetricAxiomError("nonzero self-distance in table")
-    if (np.abs(d - d.T) > tol).any():
-        raise MetricAxiomError("asymmetric distance table")
+    if (bad := d < -tol).any():
+        i, j = np.argwhere(bad)[0]
+        raise MetricAxiomError(f"negative distance for {pts[i]!r}, {pts[j]!r}")
+    if (bad := np.abs(np.diag(d)) > tol).any():
+        (i,) = np.argwhere(bad)[0]
+        raise MetricAxiomError(f"nonzero self-distance at {pts[i]!r}")
+    if (bad := np.abs(d - d.T) > tol).any():
+        i, j = np.argwhere(bad)[0]
+        raise MetricAxiomError(f"asymmetric distance for {pts[i]!r}, {pts[j]!r}")
     # d[i, j] > d[i, k] + d[k, j] + tol, for a block of middle points k at a time
     n = d.shape[0]
     step = max(1, TRIANGLE_BLOCK // max(1, n * n))
     for k in range(0, n, step):
         via = d[:, k : k + step].T[:, :, None] + d[k : k + step, None, :]
         via += tol
-        if (d > via).any():
-            raise MetricAxiomError("triangle inequality violated in table")
+        if (bad := d > via).any():
+            m, i, j = np.argwhere(bad)[0]
+            raise MetricAxiomError(
+                f"triangle inequality violated on {pts[i]!r}, {pts[k + m]!r}, {pts[j]!r}"
+            )
 
 
-def _sampled_triples(n: int, seed=0, samples=1000, max_exhaustive=EXHAUSTIVE_POINTS):
-    """The seeded index triples the axioms are checked on above ``max_exhaustive``
-    points; ``None`` (check every entry) up to it."""
-    if n <= max_exhaustive:
-        return None
-    return np.random.default_rng(seed).integers(0, n, size=(samples, 3))
+def validate_pseudometric(points: Sequence, metric: GroundMetric) -> None:
+    """Check the pseudometric axioms of ``metric`` on every pair and triple
+    of ``points``, read from one ``pairwise`` matrix.
 
-
-def _check_axioms(d: np.ndarray, pts: Sequence[Point], triples, tol: float) -> None:
-    """Raise :class:`MetricAxiomError` on the first axiom violation in ``d``,
-    the distance matrix of ``pts``: anywhere when ``triples`` is ``None``,
-    else on the index triples in order."""
-    if triples is None:
-        return _validate_matrix_axioms(d, tol)
-    if not np.isfinite(d).all():
-        raise MetricAxiomError("distances must be finite, got a non-finite entry")
-    for i, j, k in triples.tolist():
-        x, y, z = pts[i], pts[j], pts[k]
-        if d[i, j] < -tol:
-            raise MetricAxiomError(f"negative distance for {x!r}, {y!r}")
-        if abs(d[i, j] - d[j, i]) > tol:
-            raise MetricAxiomError(f"asymmetric distance for {x!r}, {y!r}")
-        if abs(d[i, i]) > tol:
-            raise MetricAxiomError(f"nonzero self-distance at {x!r}")
-        if d[i, k] > d[i, j] + d[j, k] + tol:
-            raise MetricAxiomError(f"triangle inequality violated on {x!r}, {y!r}, {z!r}")
-
-
-def validate_pseudometric(
-    points: Sequence,
-    metric: GroundMetric,
-    *,
-    seed: int = 0,
-    samples: int = 1000,
-    max_exhaustive: int = EXHAUSTIVE_POINTS,
-    tol: float = GEOMETRY_TOL,
-) -> None:
-    """Check the pseudometric axioms of ``metric`` on ``points``.
-
-    Exhaustive over all pairs and triples up to ``max_exhaustive`` points;
-    above that, on ``samples`` seeded random triples, read from one
-    ``pairwise`` matrix of the sampled points. Raises
-    :class:`MetricAxiomError` on the first violation found.
+    Raises :class:`MetricAxiomError` naming the points of the first
+    violation, as :func:`_validate_matrix_axioms` orders them. The triangle
+    check takes time cubic in the number of points.
     """
     pts = [as_point(p) for p in points]
-    triples = _sampled_triples(len(pts), seed, samples, max_exhaustive)
-    if triples is not None:
-        used, at = np.unique(triples, return_inverse=True)
-        pts, triples = [pts[a] for a in used], at.reshape(triples.shape)
     if pts:
-        _check_axioms(metric.pairwise(pts, pts), pts, triples, tol)
+        _validate_matrix_axioms(metric.pairwise(pts, pts), pts)
 
 
-def quotient(
-    space: GroundSpace, p: GroundMetric, *, tol: float = GEOMETRY_TOL
-) -> tuple[GroundSpace, Callable[[Point], Point]]:
+def quotient(space: GroundSpace, p: GroundMetric) -> tuple[GroundSpace, Callable[[Point], Point]]:
     """Quotient a space by the zero-distance classes of a pseudometric.
 
     Returns the quotient space, whose points are class representatives
     (the first member of each class in input order) carrying ``p``, a
     metric on them, together with the projection map onto representatives.
-    ``p`` is validated against the pseudometric axioms first, as
-    :func:`validate_pseudometric` does, on the one matrix read here.
+    ``p`` is first checked against the pseudometric axioms on every pair
+    and triple of the space, as :func:`validate_pseudometric` does, on the
+    one matrix read here.
     """
     pts = space.points
     d = p.pairwise(pts, pts)
-    _check_axioms(d, pts, _sampled_triples(len(pts)), tol)
+    _validate_matrix_axioms(d, pts)
     reps: list[int] = []
     mapping: dict[Point, Point] = {}
     for i, (pt, row) in enumerate(zip(pts, d.tolist())):
-        r = next((r for r in reps if row[r] <= tol), i)
+        r = next((r for r in reps if row[r] <= GEOMETRY_TOL), i)
         if r == i:
             reps.append(i)
         mapping[pt] = pts[r]

@@ -16,9 +16,9 @@ merge.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from math import inf, isfinite
-from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,10 +75,14 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     # the atom kind is decided once, by the first atom
     of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
     pts = atoms if of_measures or canonical_coordinates(atoms) else [as_point(a) for a in atoms]
-    if not isinstance(weights, np.ndarray):
+    # an iterator becomes a list; a scalar is left to the shape check
+    if not isinstance(weights, np.ndarray) and isinstance(weights, Iterable):
         weights = list(weights)
     # numpy's conversion, which reads None as NaN; then plain floats
-    ws = np.asarray(weights, dtype=float).tolist()
+    ws = np.asarray(weights, dtype=float)
+    if ws.ndim != 1:
+        raise ValueError(f"weights must be a 1-D sequence, got shape {ws.shape}")
+    ws = ws.tolist()
     if len(pts) != len(ws):
         raise ValueError(f"{len(pts)} atoms but {len(ws)} weights")
     if of_measures:

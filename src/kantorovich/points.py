@@ -94,8 +94,8 @@ def is_finite(p: Point) -> bool:
     return all(map(is_finite, p))
 
 
-def points_equal(p: Point, q: Point, tol: float = COORD_TOL) -> bool:
-    """Point identity: label equality, or coordinates within ``tol``.
+def points_equal(p: Point, q: Point) -> bool:
+    """Point identity: label equality, or coordinates within ``COORD_TOL``.
 
     Product points compare entrywise. Points of different shapes are
     never equal.
@@ -108,8 +108,8 @@ def points_equal(p: Point, q: Point, tol: float = COORD_TOL) -> bool:
     if p_coord != is_coordinate(q):
         return False
     if p_coord:
-        return all(abs(a - b) <= tol for a, b in zip(p, q))
-    return all(points_equal(a, b, tol) for a, b in zip(p, q))
+        return all(abs(a - b) <= COORD_TOL for a, b in zip(p, q))
+    return all(points_equal(a, b) for a, b in zip(p, q))
 
 
 def point_to_json(p: Point):

@@ -183,6 +183,8 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float,
     b = np.asarray(b, dtype=float)
     if C.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {C.shape}")
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"weight vectors must be 1-D, got shapes {a.shape} and {b.shape}")
     m, n = C.shape
     if len(a) != m or len(b) != n:
         raise ValueError("cost matrix shape does not match the weight vectors")

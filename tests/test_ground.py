@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kantorovich import ground
 from kantorovich.ground import (
@@ -21,7 +23,6 @@ from kantorovich.ground import (
     quotient,
     validate_pseudometric,
 )
-from kantorovich.points import as_point
 
 GEOM_TOL = 1e-12
 
@@ -49,6 +50,16 @@ def test_table_axioms_validated():
         TableMetric(["a", "b"], [[0.0, 1.0], [2.0, 0.0]])  # asymmetric
     with pytest.raises(MetricAxiomError):
         TableMetric(["a", "b", "c"], [[0, 1, 5], [1, 0, 1], [5, 1, 0]])  # triangle
+
+
+def test_table_points_are_distinct_under_point_identity():
+    # points_equal calls these one point, and a measure merges them, so a
+    # table may not give them distance 1
+    with pytest.raises(ValueError, match=r"table points must be distinct, got \(0.0,\) and \(1e-13,\)"):
+        TableMetric([(0.0,), (1e-13,)], [[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="got 'a' and 'a'"):
+        TableMetric(["a", "b", "a"], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert TableMetric(["a", "b"], [[0, 1], [1, 0]])("a", "b") == 1.0
 
 
 def test_table_rejects_non_finite_entries():
@@ -145,9 +156,11 @@ def test_axiom_checks_on_constructed_metrics():
 
 
 def test_axiom_check_sampled_above_threshold():
+    # 80 points were once above a 64-point threshold and only sampled;
+    # every pair and triple is checked now
     rng = np.random.default_rng(1)
     pts = [tuple(p) for p in rng.random((80, 2))]
-    validate_pseudometric(pts, Manhattan(), samples=500)
+    validate_pseudometric(pts, Manhattan())
 
     class Broken(GroundMetric):
         def _raw(self, x, y):
@@ -219,21 +232,39 @@ def test_quotient_evaluates_the_pseudometric_once(monkeypatch):
 
 
 
-def ref_sampled_check(points, metric, seed=0, samples=1000, tol=GEOM_TOL):
-    # the sampled branch of validate_pseudometric as it stood: five scalar
-    # metric calls per triple; returns the first violation's message
-    pts = [as_point(p) for p in points]
-    for i, j, k in np.random.default_rng(seed).integers(0, len(pts), size=(samples, 3)):
-        x, y, z = pts[i], pts[j], pts[k]
-        dxy, dyx = metric(x, y), metric(y, x)
-        if dxy < -tol:
-            return f"negative distance for {x!r}, {y!r}"
-        if abs(dxy - dyx) > tol:
-            return f"asymmetric distance for {x!r}, {y!r}"
-        if abs(metric(x, x)) > tol:
-            return f"nonzero self-distance at {x!r}"
-        if metric(x, z) > dxy + metric(y, z) + tol:
-            return f"triangle inequality violated on {x!r}, {y!r}, {z!r}"
+def _ref_pair_faults(d, pts, tol=GEOM_TOL):
+    """The message of the first violation of the finiteness, sign,
+    self-distance and symmetry checks, read entry by entry, or None."""
+    rows, n = d.tolist(), len(pts)
+    if not np.isfinite(d).all():
+        return "distances must be finite, got a non-finite entry"
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < -tol:
+                return f"negative distance for {pts[i]!r}, {pts[j]!r}"
+    for i in range(n):
+        if abs(rows[i][i]) > tol:
+            return f"nonzero self-distance at {pts[i]!r}"
+    for i in range(n):
+        for j in range(n):
+            if abs(rows[i][j] - rows[j][i]) > tol:
+                return f"asymmetric distance for {pts[i]!r}, {pts[j]!r}"
+    return None
+
+
+def ref_axiom_check(d, pts, tol=GEOM_TOL):
+    """The message of the first axiom violation in ``d``, the distance matrix
+    of ``pts``, from a plain loop over every pair and then every triple
+    (middle point k, then ends i, j in row-major order), or None."""
+    fault = _ref_pair_faults(d, pts, tol)
+    if fault is not None:
+        return fault
+    rows, n = d.tolist(), len(pts)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if rows[i][j] > rows[i][k] + rows[k][j] + tol:
+                    return f"triangle inequality violated on {pts[i]!r}, {pts[k]!r}, {pts[j]!r}"
     return None
 
 
@@ -248,7 +279,23 @@ class _Rule(GroundMetric):
         return self.rule(x, y)
 
 
-SAMPLED_CASES = [
+def _checks(pts, metric):
+    """Both pseudometric checks of ``metric`` on ``pts``."""
+    return lambda: validate_pseudometric(pts, metric), lambda: quotient(GroundSpace(pts, metric), metric)
+
+
+def test_every_triple_is_checked_above_64_points():
+    # |x - y| on 0..99 but one long edge: 196 triples break the triangle,
+    # and the 1,000 triples once sampled above 64 points missed them all
+    pts = [(float(x),) for x in range(100)]
+    long_edge = _Rule(lambda x, y: 99.5 if {x[0], y[0]} == {0.0, 99.0} else abs(x[0] - y[0]))
+    for check in _checks(pts, long_edge):
+        with pytest.raises(MetricAxiomError) as info:
+            check()
+        assert str(info.value) == "triangle inequality violated on (0.0,), (1.0,), (99.0,)"
+
+
+AXIOM_CASES = [
     Euclidean(),
     PullbackMetric(lambda p: p[:1], Manhattan()),
     _Rule(lambda x, y: -abs(x[0] - y[0])),
@@ -258,12 +305,12 @@ SAMPLED_CASES = [
 ]
 
 
-@pytest.mark.parametrize("metric", SAMPLED_CASES)
-def test_sampled_axiom_check_reads_one_matrix(monkeypatch, metric):
-    # above 64 points the seeded triples are read from one pairwise matrix:
-    # the same verdict and the same first violation as the scalar calls
+@pytest.mark.parametrize("metric", AXIOM_CASES)
+def test_axiom_check_reads_one_matrix_and_matches_the_triple_loop(monkeypatch, metric):
+    # the same verdict and the same first violation as a loop over every
+    # pair and triple, from one pairwise matrix
     pts = [tuple(p) for p in np.random.default_rng(5).random((100, 2)).tolist()]
-    expected = ref_sampled_check(pts, metric)
+    expected = ref_axiom_check(metric.pairwise(pts, pts), pts)
     calls = 0
     original = type(metric).pairwise
 
@@ -273,7 +320,7 @@ def test_sampled_axiom_check_reads_one_matrix(monkeypatch, metric):
         return original(self, xs, ys)
 
     monkeypatch.setattr(type(metric), "pairwise", counting)
-    for check in (lambda: validate_pseudometric(pts, metric), lambda: quotient(GroundSpace(pts, metric), metric)):
+    for check in _checks(pts, metric):
         calls = 0
         if expected is None:
             check()
@@ -286,15 +333,50 @@ def test_sampled_axiom_check_reads_one_matrix(monkeypatch, metric):
         assert quotient(GroundSpace(pts, metric), metric)[0].metric is metric
 
 
-def test_sampled_axiom_check_rejects_non_finite_distances():
-    # every comparison with NaN is false, so the scalar sampled check passed it
+def test_axiom_check_rejects_non_finite_distances():
+    # every comparison with NaN is false, so a check built from comparisons
+    # alone passes it
     pts = [tuple(p) for p in np.random.default_rng(6).random((100, 2)).tolist()]
     nan_metric = _Rule(lambda x, y: 0.0 if x == y else float("nan"))
-    assert ref_sampled_check(pts, nan_metric) is None
-    with pytest.raises(MetricAxiomError, match="finite"):
-        validate_pseudometric(pts, nan_metric)
-    with pytest.raises(MetricAxiomError, match="finite"):
-        quotient(GroundSpace(pts, nan_metric), nan_metric)
+    for check in _checks(pts, nan_metric):
+        with pytest.raises(MetricAxiomError, match="finite"):
+            check()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_axiom_check_names_injected_pair_faults(data):
+    # a metric on 1 to 6 points of a line with one to three faults injected:
+    # a negative entry, a nonzero self-distance or an asymmetric pair
+    n = data.draw(st.integers(1, 6))
+    x = np.array(data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n)), dtype=float)
+    d = np.abs(x[:, None] - x[None, :])
+    pts = [f"p{i}" for i in range(n)]
+    kinds = ["negative", "self", "asymmetric"] if n > 1 else ["self"]
+    faults = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    sizes = st.sampled_from([0.5, 1.0, 2.0, 1e6]) | st.floats(1e-9, 10.0)
+    for kind in faults:
+        size = data.draw(sizes) * GEOM_TOL
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=n > 1))
+        if kind == "negative":
+            d[i, j] = -size
+            if data.draw(st.booleans()):
+                d[j, i] = -size
+        elif kind == "self":
+            d[i, i] = size
+        else:
+            d[i, j] += size
+    expected = ref_axiom_check(d, pts)
+    if len(faults) == 1 and size > GEOM_TOL:
+        prefix = {"negative": "negative", "self": "nonzero self", "asymmetric": "asymmetric"}
+        assert expected is not None and expected.startswith(prefix[kind])
+    try:
+        ground._validate_matrix_axioms(d, pts)
+    except MetricAxiomError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
 
 def test_ground_space_invariants():
     with pytest.raises(ValueError, match="unique"):
@@ -433,26 +515,23 @@ def test_metric_defining_only_raw_works_everywhere():
     assert q.distance((0.0, 1.0), (4.0, 4.0)) == 2.5
 
 
-def _k_loop_axioms(d, tol=GEOM_TOL):
-    """The table check with the triangle inequality read one middle point at a
-    time; the message of the first violation, or None."""
-    if not np.isfinite(d).all():
-        return "distances must be finite, got a non-finite entry"
-    if (d < -tol).any():
-        return "negative distance in table"
-    if (np.abs(np.diag(d)) > tol).any():
-        return "nonzero self-distance in table"
-    if (np.abs(d - d.T) > tol).any():
-        return "asymmetric distance table"
+def _k_loop_axioms(d, pts, tol=GEOM_TOL):
+    """The axiom check with the triangle inequality read one middle point at
+    a time; the message of the first violation, or None."""
+    fault = _ref_pair_faults(d, pts, tol)
+    if fault is not None:
+        return fault
     for k in range(d.shape[0]):
-        if (d > d[:, [k]] + d[[k], :] + tol).any():
-            return "triangle inequality violated in table"
+        bad = d > d[:, [k]] + d[[k], :] + tol
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return f"triangle inequality violated on {pts[i]!r}, {pts[k]!r}, {pts[j]!r}"
     return None
 
 
-def _axiom_outcome(d):
+def _axiom_outcome(d, pts):
     try:
-        ground._validate_matrix_axioms(d)
+        ground._validate_matrix_axioms(d, pts)
     except MetricAxiomError as exc:
         return str(exc)
     return None
@@ -481,13 +560,14 @@ def test_blocked_triangle_check_rejects_what_the_k_loop_rejects(monkeypatch, blo
     sizes = [2, 3, 5, 8, 13] * 8 + ([70] if block is None else [])
     outcomes = set()
     for n in sizes:
+        pts = [(float(p),) for p in range(n)]
         for d, i, j in _perturbed_tables(rng, n):
             d[i, j] += rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0, 4.0]) * GEOM_TOL
             d[j, i] = d[i, j]
-            expected = _k_loop_axioms(d)
-            assert _axiom_outcome(d) == expected, (n, i, j)
-            outcomes.add(expected)
-    assert {None, "triangle inequality violated in table"} <= outcomes
+            expected = _k_loop_axioms(d, pts)
+            assert _axiom_outcome(d, pts) == expected, (n, i, j)
+            outcomes.add(expected and expected.split(" on ")[0])
+    assert outcomes == {None, "triangle inequality violated"}
     if block is None:
         # 70 points are more than one block of middle points
         assert 70 > ground.TRIANGLE_BLOCK // 70**2

@@ -54,6 +54,15 @@ def test_construction_rejects_bad_weights():
         SubProbabilityMeasure([(0.0,)], [1.5])
 
 
+def test_construction_rejects_weights_that_are_not_1d():
+    # both ended in a TypeError that named nothing
+    with pytest.raises(ValueError, match=r"weights must be a 1-D sequence, got shape \(2, 1\)"):
+        FiniteMeasure([(0.0,), (1.0,)], [[0.5], [0.5]])
+    with pytest.raises(ValueError, match=r"weights must be a 1-D sequence, got shape \(\)"):
+        FiniteMeasure([(0.0,)], 1.0)
+    assert FiniteMeasure([(0.0,), (1.0,)], (w for w in [0.5, 0.5])).weights.tolist() == [0.5, 0.5]
+
+
 def test_weights_are_immutable():
     mu = dirac((0.0,))
     with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ def ref_merged_atoms(atoms, weights):
     support, merged = [], []
     for p in order:
         for i, q in enumerate(support):
-            if points_equal(p, q, COORD_TOL):
+            if points_equal(p, q):
                 merged[i] += acc[p]
                 break
         else:
@@ -241,10 +241,10 @@ def test_merging_distinct_points_makes_linearly_many_comparisons(monkeypatch):
     calls = 0
     original = points.points_equal
 
-    def counting(p, q, tol=COORD_TOL):
+    def counting(p, q):
         nonlocal calls
         calls += 1
-        return original(p, q, tol)
+        return original(p, q)
 
     monkeypatch.setattr(points, "points_equal", counting)
     n = 2000

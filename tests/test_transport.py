@@ -403,3 +403,12 @@ def test_solve_transport_rejects_a_cost_matrix_that_is_not_2d():
     for C in (np.array([0.5]), np.array(0.5), np.zeros((1, 1, 1))):
         with pytest.raises(ValueError, match="cost matrix must be 2-D"):
             solve_transport(C, [1.0], [1.0])
+
+
+def test_solve_transport_rejects_weights_that_are_not_1d():
+    # both ended in a TypeError that named nothing: a list compared with 0,
+    # and len() of a 0-d array
+    with pytest.raises(ValueError, match=r"weight vectors must be 1-D, got shapes \(2, 1\) and \(2,\)"):
+        solve_transport(np.zeros((2, 2)), [[0.5], [0.5]], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"weight vectors must be 1-D, got shapes \(\) and \(1,\)"):
+        solve_transport(np.zeros((1, 1)), 1.0, [1.0])
