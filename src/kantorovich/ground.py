@@ -210,9 +210,12 @@ class MaxMetric(GroundMetric):
         parts = tuple(parts)
         if not parts:
             raise ValueError("max combination needs at least one pseudometric")
+        # point sets compare under point identity, as table lookups do
         tables = [p for p in parts if isinstance(p, TableMetric)]
         for t in tables[1:]:
-            if set(t.points) != set(tables[0].points):
+            if any(tables[0]._near.find(p) is None for p in t.points) or any(
+                t._near.find(p) is None for p in tables[0].points
+            ):
                 raise ValueError("incompatible point sets in max combination")
         self.parts = parts
 

@@ -211,8 +211,21 @@ class FiniteMeasure(SubProbabilityMeasure):
 
 
 def dirac(x) -> FiniteMeasure:
-    """Unit mass at a single atom, a point or a measure: the monad unit."""
-    return FiniteMeasure([x], [1.0])
+    """Unit mass at a single atom, a point or a measure: the monad unit.
+
+    The measure ``FiniteMeasure([x], [1.0])`` builds, raising what it
+    raises, without its merge pass over the atoms.
+    """
+    if isinstance(x, FiniteMeasure):
+        index = MeasureIndex()
+    else:
+        x = as_point(x)
+        index = PointIndex()
+    # rejects a non-finite coordinate, as the merge pass does
+    index.find_or_add(x)
+    mu = FiniteMeasure.__new__(FiniteMeasure)
+    mu._store(index, np.ones(1))
+    return mu
 
 
 def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
@@ -223,18 +236,19 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
     """
     if not parts:
         raise ValueError("mix needs at least one part")
-    ts = np.array([float(t) for t, _ in parts])
-    if (ts < 0).any():
+    ts = [float(t) for t, _ in parts]
+    if any(t < 0.0 for t in ts):
         raise ValueError("negative mixture weight")
-    if abs(ts.sum() - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights sum to {ts.sum():.12g}, expected 1")
+    total = sum(ts)
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise ValueError(f"mixture weights sum to {total:.12g}, expected 1")
     atoms: list = []
     weights: list[float] = []
-    for t, mu in parts:
+    for t, (_, mu) in zip(ts, parts):
         if t == 0.0:
             continue
         atoms.extend(mu.support)
-        weights.extend((t * mu.weights).tolist())
+        weights.extend([t * w for w in mu.weights.tolist()])
     return FiniteMeasure(atoms, weights)
 
 

@@ -131,6 +131,7 @@ def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
     parent = [-1] * (m + n)
     depth = [0] * (m + n)
     stack = [0]
+    visited = 1
     while stack:
         k = stack.pop()
         for node in adj[k]:
@@ -138,7 +139,8 @@ def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
                 pot[node] = (C[k, node - m] if k < m else C[node, k - m]) - pot[k]
                 parent[node], depth[node] = k, depth[k] + 1
                 stack.append(node)
-    if np.isnan(pot).any():
+                visited += 1
+    if visited < m + n:
         raise RuntimeError("basis does not span the transportation graph")
     return pot[:m], pot[m:], parent, depth
 
@@ -190,13 +192,16 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float,
         raise ValueError("cost matrix shape does not match the weight vectors")
     if m == 0 or n == 0:
         raise ValueError("weight vectors must be nonempty")
-    c_max = float(np.abs(C).max())
-    if not isfinite(c_max):
+    # the checks read Python floats: on a few cells, numpy's per-call cost
+    # outweighs its loop
+    rows = C.tolist()
+    if not all(map(isfinite, itertools.chain.from_iterable(rows))):
         raise ValueError("costs must be finite, got a non-finite entry")
-    a_sum, b_sum = float(a.sum()), float(b.sum())
+    c_max = max(map(abs, itertools.chain.from_iterable(rows)))
+    ra, rb = a.tolist(), b.tolist()
+    a_sum, b_sum = sum(ra), sum(rb)
     if not (isfinite(a_sum) and isfinite(b_sum)):
         raise ValueError("weights must be finite, got a non-finite entry")
-    ra, rb = a.tolist(), b.tolist()
     # the sums are finite, so no weight is NaN
     if min(ra) < 0 or min(rb) < 0:
         raise ValueError("weights must be nonnegative, got a negative entry")
@@ -205,14 +210,14 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float,
 
     basis = _northwest_basis(ra, rb)
     rc_tol = 1e-11 * max(1.0, c_max)
-    rows = C.tolist() if m * n <= SCAN_PRICING_CELLS else None
+    scan = m * n <= SCAN_PRICING_CELLS
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
         if m == 1 or n == 1:
             # the basis holds every arc: nothing to price
             break
         u, v, parent, depth = _tree_duals(basis, C, m, n)
-        if rows is not None:
+        if scan:
             entering = _first_eligible_scan(rows, u.tolist(), v.tolist(), -rc_tol)
         else:
             entering = _first_eligible_mask(C, u, v, -rc_tol)

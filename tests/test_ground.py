@@ -116,6 +116,19 @@ def test_max_combine_rejects_incompatible_tables():
         max_combine(t1, t2)
 
 
+def test_max_combine_compares_table_points_under_point_identity():
+    # each table answers lookups for the other's points, so the sets agree
+    t1 = TableMetric([(0.0,), (1.0,)], [[0, 1], [1, 0]])
+    t2 = TableMetric([(1e-13,), (1.0,)], [[0, 2], [2, 0]])
+    combined = MaxMetric([t1, t2])
+    assert combined((0.0,), (1.0,)) == combined((1e-13,), (1.0,)) == 2.0
+    # one point set covering the other is not enough: both directions count
+    t3 = TableMetric([(0.0,), (1.0,), (2.0,)], np.abs(np.subtract.outer([0, 1, 2], [0, 1, 2])))
+    for parts in ([t1, t3], [t3, t1]):
+        with pytest.raises(ValueError, match="incompatible"):
+            MaxMetric(parts)
+
+
 def test_max_combine_commutative_associative():
     rng = np.random.default_rng(3)
     a, b, c = Euclidean(), Manhattan(), Discrete()

@@ -6,7 +6,6 @@ import numpy as np
 
 from kantorovich import laws
 from kantorovich.cli import main
-from kantorovich.ground import Euclidean
 from kantorovich.laws import LAW_RUNNERS, run_law_suite
 from kantorovich.monad import fold_reports
 from kantorovich.points import as_point
@@ -163,12 +162,5 @@ def test_generators_return_canonical_points():
     pts = laws.random_points(rng, 6, 3)
     f = laws._affine_map(rng.normal(size=(2, 3)), rng.normal(size=2))
     seen = pts + [f(p) for p in pts]
-
-    class Recording(Euclidean):
-        def __call__(self, x, y):
-            seen.extend((x, y))
-            return super().__call__(x, y)
-
-    laws.verify_metric_convexity(Recording(), rng, dim=2, samples=5)
-    assert len(seen) == 12 + 5 * 6
+    assert len(seen) == 12
     assert all(as_point(p) is p for p in seen)

@@ -76,6 +76,51 @@ def test_dirac():
     assert measures_equal(dirac("a"), dirac("a"))
 
 
+_MU = FiniteMeasure([(0.0,), (1.0,)], [0.25, 0.75])
+_DIRAC_ATOMS = [
+    (0.5, 1.0),
+    3,
+    np.float64(2.5),
+    [1, 2],
+    np.array([1.0, 2.0]),
+    (np.float64(0.5), 1),
+    "a",
+    ((0.0,), "a"),
+    [(0.0, 1.0), (2.0,)],
+    _MU,
+    FiniteMeasure([_MU, dirac((1.0,))], [0.5, 0.5]),
+]
+
+
+@pytest.mark.parametrize("x", _DIRAC_ATOMS, ids=repr)
+def test_dirac_is_the_one_atom_measure(x):
+    d, f = dirac(x), FiniteMeasure([x], [1.0])
+    assert type(d) is FiniteMeasure
+    assert d.support == f.support
+    assert d.weights.dtype == f.weights.dtype and d.weights.tobytes() == f.weights.tobytes()
+    assert not d.weights.flags.writeable
+    assert type(d._index) is type(f._index)
+    assert d.index_of(x) == f.index_of(x) == 0
+    for other in ((9.0,), "z"):
+        assert d.index_of(other) is f.index_of(other) is None
+
+
+def _raised(build, x):
+    with pytest.raises(Exception) as info:
+        build(x)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [(np.nan,), (np.inf, 0.0), (0.0, -np.inf), ((0.0,), (np.nan,)), True, np.bool_(False),
+     (True, 1.0), (), [], ((),), None, object()],
+    ids=repr,
+)
+def test_dirac_rejects_what_the_one_atom_measure_rejects(x):
+    assert _raised(dirac, x) == _raised(lambda y: FiniteMeasure([y], [1.0]), x)
+
+
 def test_mix_examples():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     assert measures_equal(mix([(1.0, mu)]), mu)

@@ -282,6 +282,31 @@ def test_solve_transport_rejects_non_finite_costs_and_bad_weights():
         solve_transport(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
 
 
+@pytest.mark.parametrize("n", [3, 12])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_transport_rejects_a_non_finite_entry_anywhere(monkeypatch, n, bad):
+    # Python's max skips a NaN after the first entry, so finiteness needs
+    # its own check. A NaN cost that got through would never let the tree
+    # traversal finish, so the solve must stop before its starting basis.
+    def unreachable(ra, rb):
+        raise AssertionError("a non-finite entry reached the simplex")
+
+    monkeypatch.setattr(transport, "_northwest_basis", unreachable)
+    C = np.arange(n * n, dtype=float).reshape(n, n)
+    w = np.full(n, 1.0 / n)
+    for k in (0, n * n // 2, n * n - 1):
+        Cb = C.copy()
+        Cb.flat[k] = bad
+        with pytest.raises(ValueError, match="^costs must be finite, got a non-finite entry$"):
+            solve_transport(Cb, w, w)
+    for k in (0, n // 2, n - 1):
+        wb = w.copy()
+        wb[k] = bad
+        for a, b in ((wb, w), (w, wb)):
+            with pytest.raises(ValueError, match="^weights must be finite, got a non-finite entry$"):
+                solve_transport(C, a, b)
+
+
 def test_one_row_or_column_returns_the_product_coupling_without_pricing(monkeypatch):
     calls = 0
     original = transport._tree_duals
