@@ -14,14 +14,17 @@ from kantorovich import (
     FiniteMeasure,
     GroundSpace,
     barycenter,
-    check_algebra,
-    check_monad_laws,
     dirac,
     flatten,
     kantorovich,
     second_order_distance,
 )
-from kantorovich.laws import random_second_order, random_third_order
+from kantorovich.laws import (
+    random_second_order,
+    run_algebra_laws,
+    run_barycenter_nonexpansion,
+    run_monad_laws,
+)
 
 plane = ConvexSpace(2)
 
@@ -59,16 +62,7 @@ print(
 
 # --- the laws, checked mechanically ----------------------------------------------
 
-samples = [random_third_order(rng, space.points) for _ in range(50)]
-for report in check_monad_laws(space, samples):
-    print(f"{report.law:32s} max deviation {report.max_deviation:.2e} pass={report.passed}")
-
-cube = ConvexSpace(3)
-pts3 = [tuple(p) for p in rng.random((8, 3))]
-algebra_samples = []
-for _ in range(30):
-    M3 = random_second_order(rng, pts3, 3, 4)
-    A_mat, c = rng.normal(size=(3, 3)), rng.normal(size=3)
-    algebra_samples.append((M3, lambda p, A=A_mat, c=c: tuple(A @ np.asarray(p) + c), 3))
-for report in check_algebra(cube, algebra_samples, metric=Euclidean()):
-    print(f"{report.law:32s} max deviation {report.max_deviation:.2e} pass={report.passed}")
+checks = ((run_monad_laws, 50), (run_algebra_laws, 30), (run_barycenter_nonexpansion, 30))
+for run, samples in checks:
+    for report in run(rng, samples):
+        print(f"{report.law:32s} max deviation {report.max_deviation:.2e} pass={report.passed}")

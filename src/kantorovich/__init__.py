@@ -26,7 +26,7 @@ from .ground import (
     quotient,
     validate_pseudometric,
 )
-from .laws import LAW_RUNNERS, run_law_suite
+from .laws import LAW_RUNNERS, LawReport, run_law_suite
 from .measures import (
     FiniteMeasure,
     PartitionError,
@@ -47,10 +47,7 @@ from .measures import (
 )
 from .monad import (
     ConvexSpace,
-    LawReport,
     barycenter,
-    check_algebra,
-    check_monad_laws,
     flatten,
     lifted_pseudometric,
     reweight_series_check,

@@ -9,7 +9,6 @@ quotient of a space by the zero-distance classes of a pseudometric.
 from __future__ import annotations
 
 import json
-from functools import cached_property
 from numbers import Real
 from typing import Callable, Iterable, Sequence
 
@@ -21,7 +20,6 @@ from .points import (
     as_point,
     canonical_coordinates,
     is_coordinate,
-    is_finite,
     json_number,
     points_equal,
 )
@@ -135,6 +133,18 @@ class Discrete(GroundMetric):
         return self._capped(np.where(same.reshape(len(xs), len(ys)), 0.0, 1.0))
 
 
+def _distinct_index(pts: Sequence[Point], what: str) -> PointIndex:
+    """The index of ``pts``; a point that equals an earlier one raises
+    ``ValueError(what + ", got <earlier> and <point>")``."""
+    index = PointIndex()
+    for p in pts:
+        n = len(index.points)
+        i = index.find_or_add(p)
+        if i != n:
+            raise ValueError(f"{what}, got {index.points[i]!r} and {p!r}")
+    return index
+
+
 class TableMetric(GroundMetric):
     """Explicit distance table over a fixed point list.
 
@@ -152,11 +162,7 @@ class TableMetric(GroundMetric):
         k = len(self.points)
         if self.table.shape != (k, k):
             raise ValueError(f"distance table must be {k}x{k}, got {self.table.shape}")
-        self._near = PointIndex(self.points)
-        for i, p in enumerate(self.points):
-            j = self._near.find(p)
-            if j != i:
-                raise ValueError(f"table points must be distinct, got {self.points[j]!r} and {p!r}")
+        self._near = _distinct_index(self.points, "table points must be distinct")
         self._index = {p: i for i, p in enumerate(self.points)}
         _validate_matrix_axioms(self.table, self.points)
 
@@ -270,8 +276,9 @@ def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
 class GroundSpace:
     """A finite point set with a bounded (pseudo)metric.
 
-    Immutable after construction; all evaluation is pure, so instances are
-    safe for concurrent use.
+    The points must be distinct under :func:`points_equal`, as the atoms
+    of a measure are. Immutable after construction; all evaluation is
+    pure, so instances are safe for concurrent use.
     """
 
     def __init__(self, points: Iterable, metric: GroundMetric):
@@ -280,30 +287,13 @@ class GroundSpace:
             pts = tuple(as_point(p) for p in pts)
         if not pts:
             raise ValueError("a ground space needs at least one point")
-        labels: set[str] = set()
-        dims: set[int] = set()
-        bad = None
-        for p in pts:
-            if isinstance(p, str):
-                if p in labels:
-                    raise ValueError("labels within one ground space must be unique")
-                labels.add(p)
-                continue
-            if isinstance(p[0], float):
-                dims.add(len(p))
-            if bad is None and not is_finite(p):
-                bad = p
+        dims = {len(p) for p in pts if not isinstance(p, str) and isinstance(p[0], float)}
         if len(dims) > 1:
             raise ValueError(f"coordinate points must share one dimension, got {sorted(dims)}")
-        if bad is not None:
-            raise ValueError(f"coordinates must be finite, got {bad!r}")
+        self._index = _distinct_index(pts, "ground space points must be unique")
         self.points = pts
         self.metric = metric
         self._diameter: float | None = None
-
-    @cached_property
-    def _index(self) -> PointIndex:
-        return PointIndex(self.points)
 
     def distance(self, x, y) -> float:
         return self.metric(x, y)

@@ -9,11 +9,12 @@ from numpy's PCG64 generator, so a seed pins the whole suite.
 
 Each law is one row of :data:`LAWS`: a per-sample check plus report names
 and a default tolerance. Its runner folds the checks with
-:func:`~kantorovich.monad.fold_reports`.
+:func:`fold_reports` into one :class:`LawReport` per report name.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import isfinite, nan
 from typing import Callable, NamedTuple, Sequence
 
@@ -30,23 +31,90 @@ from .ground import (
     coordinate_projection,
     pullback,
 )
-from .measures import FiniteMeasure, dirac, mix, pushforward
+from .measures import WEIGHT_TOL, FiniteMeasure, dirac, measure_deviation, mix, pushforward
 from .monad import (
-    ALGEBRA_LAWS,
-    MONAD_LAWS,
     ConvexSpace,
-    LawReport,
-    algebra_deviations,
     barycenter,
     flatten,
-    fold_reports,
     lifted_pseudometric,
-    monad_deviations,
     reweight_series_check,
     second_order_distance,
-    worst,
 )
+from .points import Point, as_point, coordinates
 from .transport import kantorovich, mass_transport_bound_check
+
+# ---------------------------------------------------------------------------
+# law reports
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LawReport:
+    """Outcome of checking one law over a batch of sampled instances. ``witness``
+    (not serialized) is the sample that set ``max_deviation``, None if it stayed 0.
+    Reports compare by field, with a NaN deviation equal to a NaN deviation."""
+
+    law: str
+    samples: int
+    max_deviation: float
+    passed: bool
+    witness: int | None = None
+
+    def to_json(self) -> dict:
+        dev = float(self.max_deviation)
+        return {
+            "law": self.law,
+            "samples": self.samples,
+            "max_deviation": dev if isfinite(dev) else None,
+            "pass": bool(self.passed),
+        }
+
+    def _key(self) -> tuple:
+        dev = self.max_deviation
+        return (self.law, self.samples, dev if dev == dev else "nan", self.passed, self.witness)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, LawReport) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def worst(values) -> float:
+    """The largest of ``values`` floored at 0.0, or NaN if any is NaN."""
+    values = list(values)
+    return nan if any(v != v for v in values) else max([0.0, *values])
+
+
+def fold_reports(
+    laws: Sequence[str],
+    check: Callable[[int, float], Sequence[float]],
+    n: int,
+    tol: float | None,
+    default_tol: float | None = WEIGHT_TOL,
+    count: bool = False,
+) -> list[LawReport]:
+    """Fold ``check(s, tol)``, one deviation per law, over samples ``s < n``.
+
+    A law's ``max_deviation`` is the :func:`worst` over samples (so a NaN
+    fails it) and must be at most ``tol``, ``default_tol`` if ``None``.
+    With ``count`` deviations are failure flags and ``max_deviation``
+    counts them. The witness is the last sample that raised the value, or
+    the first to give NaN.
+    """
+    tol = default_tol if tol is None else tol
+    dev = [0.0] * len(laws)
+    witness: list[int | None] = [None] * len(laws)
+    for s in range(n):
+        for k, d in enumerate(check(s, tol)):
+            new = dev[k] + d if count else d
+            if dev[k] == dev[k] and (new > dev[k] or new != new):
+                dev[k], witness[k] = new, s
+    return [
+        LawReport(law, n, d, d == 0.0 if count else d <= tol, w)
+        for law, d, w in zip(laws, dev, witness)
+    ]
+
 
 # ---------------------------------------------------------------------------
 # instance generators
@@ -140,9 +208,72 @@ def _dirac_isometry(rng, s, shared, tol):
     return (abs(kantorovich(space, dirac(x), dirac(y)).cost - space.distance(x, y)),)
 
 
+ThirdOrder = Sequence[tuple[float, FiniteMeasure]]
+
+MONAD_LAWS = (
+    "unit-dirac-of-measure",
+    "unit-measure-of-diracs",
+    "unit-second-order",
+    "flatten-associativity",
+)
+
+
+def monad_deviations(sample: ThirdOrder) -> tuple[float, float, float, float]:
+    """Worst measure deviation of one depth-3 instance, per law of
+    :data:`MONAD_LAWS`: the unit laws at both levels, and associativity as
+    the two ways of collapsing depth 3 to depth 1."""
+    sample = [(float(t), M) for t, M in sample]
+    outer, inner, second = [], [], []
+    for _, M in sample:
+        for mu, _ in M.items():
+            outer.append(measure_deviation(flatten(dirac(mu)), mu))
+            via_diracs = FiniteMeasure([dirac(p) for p in mu.support], mu.weights)
+            inner.append(measure_deviation(flatten(via_diracs), mu))
+        second.append(measure_deviation(mix([(1.0, M)]), M))
+        redundant = mix([(float(t), dirac(mu)) for mu, t in M.items()])
+        second.append(measure_deviation(redundant, M))
+    lhs = flatten(mix(sample))
+    rhs = flatten(FiniteMeasure([flatten(M) for _, M in sample], [t for t, _ in sample]))
+    return worst(outer), worst(inner), worst(second), measure_deviation(lhs, rhs)
+
+
 def _monad_laws(rng, s, space, tol):
     """Unit and associativity laws of flatten and dirac."""
     return monad_deviations(random_third_order(rng, space.points))
+
+
+AlgebraSample = tuple[FiniteMeasure, Callable[[Point], Point], int]
+
+ALGEBRA_LAWS = (
+    "barycenter-of-dirac",
+    "barycenter-evaluation-orders",
+    "affine-morphism-commutation",
+)
+
+
+def algebra_deviations(space: ConvexSpace, sample: AlgebraSample) -> tuple[float, float, float]:
+    """Worst deviation of one instance, per law of :data:`ALGEBRA_LAWS`.
+
+    The sample is a second-order measure with coordinate atoms, a map and
+    the map's target dimension. The laws are ``b(δ_x) = x``, the two
+    evaluation orders of the measure, and commutation of the map with
+    barycenters, which only an affine map satisfies.
+    """
+    M, f, target_dim = sample
+    target = ConvexSpace(target_dim)
+    unit, morphism = [], []
+    for mu, _ in M.items():
+        for x in mu.support:
+            b = barycenter(space, dirac(x))
+            unit.append(float(np.abs(coordinates(b) - coordinates(x)).max()))
+        lhs = coordinates(barycenter(target, pushforward(f, mu)))
+        rhs = coordinates(as_point(f(barycenter(space, mu))))
+        morphism.append(float(np.abs(lhs - rhs).max()))
+    via_flatten = barycenter(space, flatten(M))
+    means = [barycenter(space, mu) for mu in M.support]
+    via_map = barycenter(space, FiniteMeasure(means, M.weights))
+    assoc = float(np.abs(coordinates(via_flatten) - coordinates(via_map)).max())
+    return worst(unit), assoc, worst(morphism)
 
 
 def _algebra_laws(rng, s, pts, tol):
@@ -366,7 +497,7 @@ LAWS = [
     Law(("diameter-preservation",), 1e-9, _diameter_preservation),
     Law(("dirac-isometry",), 1e-12, _dirac_isometry),
     Law(MONAD_LAWS, 1e-9, _monad_laws, lambda rng: random_space(rng, 10, 2)),
-    Law(ALGEBRA_LAWS[:3], 1e-9, _algebra_laws, lambda rng: random_points(rng, 10, 3)),
+    Law(ALGEBRA_LAWS, 1e-9, _algebra_laws, lambda rng: random_points(rng, 10, 3)),
     Law(("isometric-embedding-preservation",), 1e-8, _isometry_preservation),
     Law(("nonexpanding-map-preservation",), 1e-9, _nonexpansion_preservation),
     Law(("sup-distance-identity",), 1e-9, _sup_distance_identity),

@@ -272,6 +272,15 @@ def condition(mu: FiniteMeasure, predicate: Callable[[Point], bool]) -> FiniteMe
     return FiniteMeasure([p for p, _ in kept], [w / mass for _, w in kept])
 
 
+def cell_of(p: Point, cells: Sequence[Callable[[Point], bool]]) -> int | None:
+    """Position of the one cell that matches ``p``, None if no cell does;
+    :class:`PartitionError` if two cells do."""
+    hits = [i for i, cell in enumerate(cells) if cell(p)]
+    if len(hits) > 1:
+        raise PartitionError(f"atom {p!r} matched by cells {hits[0]} and {hits[1]}")
+    return hits[0] if hits else None
+
+
 def decompose(
     mu: FiniteMeasure, cells: Sequence[Callable[[Point], bool]]
 ) -> list[tuple[float, FiniteMeasure]]:
@@ -283,12 +292,10 @@ def decompose(
     """
     groups: dict[int, list[int]] = {}
     for a, p in enumerate(mu.support):
-        hits = [i for i, cell in enumerate(cells) if cell(p)]
-        if len(hits) > 1:
-            raise PartitionError(f"atom {p!r} matched by cells {hits[0]} and {hits[1]}")
-        if not hits:
+        i = cell_of(p, cells)
+        if i is None:
             raise PartitionError(f"atom {p!r} not covered by any cell")
-        groups.setdefault(hits[0], []).append(a)
+        groups.setdefault(i, []).append(a)
     out: list[tuple[float, FiniteMeasure]] = []
     for i in sorted(groups):
         idx = groups[i]

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .ground import GroundSpace
-from .measures import FiniteMeasure, PartitionError, atom_to_json, integrate
+from .measures import FiniteMeasure, atom_to_json, cell_of, integrate
 from .points import Point, distinct_points
 
 #: Absolute tolerance on costs and marginal sums.
@@ -296,10 +296,8 @@ def partition_coupling(
     """
 
     def assign(p: Point) -> int:
-        hits = [i for i, cell in enumerate(cells) if cell(p)]
-        if len(hits) > 1:
-            raise PartitionError(f"atom {p!r} matched by cells {hits[0]} and {hits[1]}")
-        return hits[0] + 1 if hits else 0
+        k = cell_of(p, cells)
+        return 0 if k is None else k + 1
 
     nblocks = len(cells) + 1
     rows_in: list[list[int]] = [[] for _ in range(nblocks)]

@@ -401,6 +401,18 @@ def test_ground_space_invariants():
     assert (3.0, 4.0) in space and (9.0, 9.0) not in space
 
 
+def test_ground_space_rejects_points_equal_within_tolerance():
+    # every measure merges (0.0,) and (1e-13,) into one atom
+    repeat = r"^ground space points must be unique, got "
+    with pytest.raises(ValueError, match=repeat + r"\(0\.0,\) and \(1e-13,\)$"):
+        GroundSpace([(0.0,), (1e-13,)], Euclidean())
+    pair = r"\('a', \(1\.0,\)\) and \('a', \(1\.0000000000005,\)\)$"
+    with pytest.raises(ValueError, match=repeat + pair):
+        GroundSpace([("a", (1.0,)), ("b", (1.0,)), ("a", (1.0 + 5e-13,))], Discrete())
+    space = GroundSpace([(0.0,), (2e-12,)], Euclidean())
+    assert len(space) == 2 and (1e-13,) in space
+
+
 def test_ground_space_rejects_non_finite_coordinates():
     for bad in [(float("nan"),), (float("inf"),), ("a", (float("-inf"),))]:
         with pytest.raises(ValueError, match="coordinates must be finite"):

@@ -6,8 +6,7 @@ import numpy as np
 
 from kantorovich import laws
 from kantorovich.cli import main
-from kantorovich.laws import LAW_RUNNERS, run_law_suite
-from kantorovich.monad import fold_reports
+from kantorovich.laws import LAW_RUNNERS, fold_reports, run_law_suite
 from kantorovich.points import as_point
 
 

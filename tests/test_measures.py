@@ -177,9 +177,9 @@ def test_decompose_examples():
     parts = decompose(mu, [lambda p: p[0] < 1, lambda p: p[0] >= 1])
     assert [e for e, _ in parts] == pytest.approx([0.5, 0.5])
     assert measures_equal(parts[0][1], dirac((0.0,)))
-    with pytest.raises(PartitionError, match="matched by cells"):
+    with pytest.raises(PartitionError, match=r"^atom \(0\.0,\) matched by cells 0 and 1$"):
         decompose(mu, [lambda p: True, lambda p: p[0] < 1])
-    with pytest.raises(PartitionError, match="not covered"):
+    with pytest.raises(PartitionError, match=r"^atom \(1\.0,\) not covered by any cell$"):
         decompose(mu, [lambda p: p[0] < 1])
 
 

@@ -170,7 +170,7 @@ def test_partition_coupling_diagonal_mass_and_feasibility():
 def test_partition_coupling_rejects_overlap():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     space = line_space(0, 1)
-    with pytest.raises(PartitionError):
+    with pytest.raises(PartitionError, match=r"^atom \(0\.0,\) matched by cells 0 and 1$"):
         partition_coupling(space, mu, mu, [lambda p: True, lambda p: p[0] < 1])
 
 
@@ -343,7 +343,7 @@ def test_lipschitz_gap_names_the_first_violating_pair():
     rng = np.random.default_rng(5)
     for _ in range(40):
         pts = [(float(x),) for x in rng.integers(0, 20, size=6)]
-        space = GroundSpace(pts, Euclidean())
+        space = GroundSpace(list(dict.fromkeys(pts)), Euclidean())  # each point once
         mu, eta = random_measure(rng, pts), random_measure(rng, pts)
         slope = {p: float(rng.choice([0.0, 0.5, 2.0])) for p in pts}
         f = lambda p: slope[p] * p[0]  # noqa: E731
