@@ -115,7 +115,7 @@ def _raised(build, x):
     "x",
     [(np.nan,), (np.inf, 0.0), (0.0, -np.inf), ((0.0,), (np.nan,)), True, np.bool_(False),
      (True, 1.0), (), [], ((),), None, object()],
-    ids=repr,
+    ids=lambda x: "object()" if type(x) is object else repr(x),
 )
 def test_dirac_rejects_what_the_one_atom_measure_rejects(x):
     assert _raised(dirac, x) == _raised(lambda y: FiniteMeasure([y], [1.0]), x)
