@@ -163,15 +163,12 @@ class TableMetric(GroundMetric):
         if self.table.shape != (k, k):
             raise ValueError(f"distance table must be {k}x{k}, got {self.table.shape}")
         self._near = _distinct_index(self.points, "table points must be distinct")
-        self._index = {p: i for i, p in enumerate(self.points)}
         _validate_matrix_axioms(self.table, self.points)
 
     def _lookup(self, p: Point) -> int:
-        i = self._index.get(p)
+        i = self._near.find(p)
         if i is None:
-            i = self._near.find(p)
-            if i is None:
-                raise ValueError(f"unknown label {p!r} for table metric")
+            raise ValueError(f"unknown label {p!r} for table metric")
         return i
 
     def pairwise(self, xs, ys):

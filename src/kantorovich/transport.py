@@ -2,9 +2,11 @@
 
 The distance is the minimum of ``sum γ_ij d(x_i, y_j)`` over all couplings
 γ with the two measures as marginals. For finite supports the feasible set
-is a transportation polytope, so the infimum is attained at a vertex and
-an exact network simplex finds it. Two independent brute-force oracles
-(permutation enumeration and vertex enumeration over spanning-tree bases)
+is a transportation polytope, so the infimum is attained at a vertex, whose
+basis is a spanning tree of K_{m,n}. An exact network simplex walks such
+trees from a northwest-corner start, the rule that also routes the
+off-diagonal mass of :func:`partition_coupling`. Two brute-force oracles,
+permutation enumeration and vertex enumeration over all spanning trees,
 are provided for cross-checking.
 
 Solver state is confined to each invocation; concurrent calls on shared
@@ -14,7 +16,6 @@ immutable inputs are safe.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import inf, isfinite
@@ -291,7 +292,8 @@ def partition_coupling(
 
     Block ``(i, i)`` gets mass ``min(mu0(V_i), mu(V_i))`` as a normalized
     product measure; leftover row and column mass is routed off-diagonal
-    by the northwest-corner rule over block indices. Atoms matched by no
+    by the northwest-corner rule over block indices, and routed masses of
+    at most 1e-15 (rounding residues) are dropped. Atoms matched by no
     cell fall into the implicit complement block with index 0.
     """
 
@@ -310,30 +312,13 @@ def partition_coupling(
     b = np.array([float(mu.weights[idx].sum()) for idx in cols_in])
 
     diag = np.minimum(a, b)
-    block_mass: dict[tuple[int, int], float] = {
-        (k, k): float(diag[k]) for k in range(nblocks) if diag[k] > 0.0
-    }
-    r = a - diag
-    c = b - diag
-    tiny = 1e-15
-    i = j = 0
-    while i < nblocks and j < nblocks:
-        if r[i] <= tiny:
-            i += 1
-            continue
-        if c[j] <= tiny:
-            j += 1
-            continue
-        q = min(r[i], c[j])
-        block_mass[(i, j)] = block_mass.get((i, j), 0.0) + float(q)
-        r[i] -= q
-        c[j] -= q
+    block_mass = {(k, k): float(diag[k]) for k in range(nblocks) if diag[k] > 0.0}
+    leftover = _northwest_basis((a - diag).tolist(), (b - diag).tolist())
+    block_mass.update((arc, q) for arc, q in leftover.items() if q > 1e-15)
 
     gamma = np.zeros((len(mu0), len(mu)))
     for (bi, bj), q in block_mass.items():
         ridx, cidx = rows_in[bi], cols_in[bj]
-        if not ridx or not cidx or q <= 0.0:
-            continue
         wr = mu0.weights[ridx] / a[bi]
         wc = mu.weights[cidx] / b[bj]
         gamma[np.ix_(ridx, cidx)] += q * np.outer(wr, wc)
@@ -372,64 +357,25 @@ def _spanning_tree_bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(arc_index, solver)`` where ``arc_index[t]`` lists the
     row-major arc indices of tree ``t`` and ``solver[t]`` maps the stacked
     weight vector ``(a, b)`` to the tree's unique basic flows.
+
+    Arc ``(i, j)`` is the column of the node-arc incidence matrix with ones
+    at row node ``i`` and column node ``m + j``; the last row is dropped, as
+    the rows of row nodes and of column nodes sum to the same vector. The
+    matrix is totally unimodular, so each square block of ``m + n - 1``
+    arcs has determinant 0, or ±1 exactly when the arcs form a spanning
+    tree. The inverse of a tree's block is then an integer matrix, rounded
+    to drop the error of inverting; with a zero column for the dropped node
+    it maps balanced weights ``(a, b)`` to the tree's flows.
     """
-    arcs_all = [(i, j) for i in range(m) for j in range(n)]
-    nodes = m + n
-    narcs = nodes - 1
-    tree_arc_idx: list[list[int]] = []
-    solvers: list[np.ndarray] = []
-    for subset in itertools.combinations(range(len(arcs_all)), narcs):
-        parent = list(range(nodes))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for k in subset:
-            i, j = arcs_all[k]
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-        if not acyclic:
-            continue
-        # m + n - 1 acyclic arcs on m + n nodes: a spanning tree.
-        # Leaf elimination expresses each arc flow as a linear map of (a, b).
-        incident: list[list[int]] = [[] for _ in range(nodes)]
-        for pos, k in enumerate(subset):
-            i, j = arcs_all[k]
-            incident[i].append(pos)
-            incident[m + j].append(pos)
-        arc_nodes = [(arcs_all[k][0], m + arcs_all[k][1]) for k in subset]
-        residual = np.eye(nodes)
-        degree = [len(incident[v]) for v in range(nodes)]
-        solver = np.zeros((narcs, nodes))
-        removed_arc = [False] * narcs
-        removed_node = [False] * nodes
-        leaves = deque(v for v in range(nodes) if degree[v] == 1)
-        while leaves:
-            v = leaves.popleft()
-            if removed_node[v] or degree[v] == 0:
-                continue
-            pos = next(p for p in incident[v] if not removed_arc[p])
-            solver[pos] = residual[v]
-            x, y = arc_nodes[pos]
-            other = y if x == v else x
-            # the arc drains the leaf's remaining quantity from both endpoints
-            residual[other] -= residual[v]
-            removed_arc[pos] = True
-            removed_node[v] = True
-            degree[v] = 0
-            degree[other] -= 1
-            if degree[other] == 1:
-                leaves.append(other)
-        tree_arc_idx.append(list(subset))
-        solvers.append(solver)
-    return np.array(tree_arc_idx, dtype=int), np.stack(solvers)
+    arcs = np.arange(m * n)
+    incidence = np.zeros((m + n, m * n))
+    incidence[arcs // n, arcs] = incidence[m + arcs % n, arcs] = 1.0
+    subsets = np.array(list(itertools.combinations(range(m * n), m + n - 1)), dtype=int)
+    blocks = incidence[:-1, subsets].transpose(1, 0, 2)
+    trees = np.abs(np.linalg.det(blocks)) > 0.5
+    solver = np.zeros((int(trees.sum()), m + n - 1, m + n))
+    solver[:, :, :-1] = np.rint(np.linalg.inv(blocks[trees]))
+    return subsets[trees], solver
 
 
 def _vertex_enumeration_oracle(

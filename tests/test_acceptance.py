@@ -133,7 +133,7 @@ def test_criterion_06_second_order_suite():
 def test_criterion_07_sup_distance_identity():
     with criterion(7, "sup-distance identity with Dirac attainment"):
         rng = np.random.default_rng(107)
-        assert_reports(run_sup_distance_identity(rng, 50, tol=1e-9, n_measures=100))
+        assert_reports(run_sup_distance_identity(rng, 250, tol=1e-9))
 
 
 def test_criterion_08_convexity_and_barycenter_nonexpansion():

@@ -375,3 +375,67 @@ def test_projection_index_that_is_not_a_number_exits_2(capsys, coords):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "'coords'" in captured.err and "integers" in captured.err and captured.out == ""
+
+
+PULLBACK = '{"kind": "pullback", "coords": %s, "inner": {"kind": "euclidean"}}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dist", "notjson", "delta0"], "is not valid JSON"),
+        (["dist", "delta0", "delta0", "--metric", "[1]"], "metric spec must be an object, got [1]"),
+        (["dist", "delta0", "delta0", "--metric", "{}"], "metric spec is missing 'kind'"),
+        (
+            ["dist", "label_a", "label_b", "--metric", '{"kind": "table", "points": ["a", "b"]}'],
+            "table metric spec needs 'points' and 'd'",
+        ),
+        (
+            ["dist", "label_a", "label_b", "--metric", '{"kind": "table", "points": ["a", "b"], "d": [[0, 1]]}'],
+            "distance table must be 2x2, got (1, 2)",
+        ),
+        (
+            ["dist", "mu01", "eta12", "--metric", '{"kind": "pullback", "coords": [0]}'],
+            "pullback metric spec needs 'coords' and 'inner'",
+        ),
+        (
+            ["dist", "mu01", "eta12", "--metric", '{"kind": "max", "of": []}'],
+            "max metric spec needs a nonempty 'of' list",
+        ),
+        (
+            ["lift", "mu_r2a", "mu_r2b", "--metric", PULLBACK % "[]"],
+            "'coords': projection needs at least one coordinate index",
+        ),
+        (
+            ["lift", "mu_r2a", "mu_r2b", "--metric", PULLBACK % "[5]"],
+            "projection indices (5,) out of range for (0.0, 5.0)",
+        ),
+        (
+            ["lift", "label_a", "label_b", "--metric", PULLBACK % "[0]"],
+            "cannot project non-coordinate point 'a'",
+        ),
+        (["dist", "no_atoms", "delta0"], "measure JSON needs a nonempty 'atoms' list"),
+        (["dist", "no_w", "delta0"], "atom 0 must be an object with 'point' and 'w'"),
+    ],
+    ids=[
+        "input-not-json", "metric-not-object", "metric-without-kind", "table-without-d",
+        "table-d-wrong-shape", "pullback-without-inner", "max-of-nothing", "no-coords",
+        "coord-out-of-range", "lift-labels-under-pullback", "no-atoms", "atom-without-w",
+    ],
+)
+def test_rejected_input_exits_2_naming_the_invariant(tmp_path, capsys, argv, message):
+    # argv names measure files: fixtures, or the malformed ones written here
+    files = {
+        name: str(FIX / f"{name}.json")
+        for name in ("delta0", "label_a", "label_b", "mu01", "eta12", "mu_r2a", "mu_r2b")
+    }
+    files["notjson"] = _write(tmp_path, "notjson.json", "not json")
+    files["no_atoms"] = _write(tmp_path, "no_atoms.json", '{"atoms": []}')
+    files["no_w"] = _write(tmp_path, "no_w.json", '{"atoms": [{"point": [0]}]}')
+    argv = [files.get(arg, arg) for arg in argv]
+    if "--metric" not in argv:
+        argv += ["--metric", "euclidean"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""

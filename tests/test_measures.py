@@ -50,6 +50,8 @@ def test_construction_rejects_bad_weights():
         FiniteMeasure([(0.0,), (1.0,)], [1.5, -0.5])
     with pytest.raises(ValueError, match="atom"):
         FiniteMeasure([], [])
+    with pytest.raises(ValueError, match="^1 atoms but 2 weights$"):
+        FiniteMeasure([(0.0,)], [0.5, 0.5])
     with pytest.raises(ValueError, match="exceeds"):
         SubProbabilityMeasure([(0.0,)], [1.5])
 
@@ -134,6 +136,8 @@ def test_mix_examples():
 
 def test_mix_validation():
     mu = dirac((0.0,))
+    with pytest.raises(ValueError, match="^mix needs at least one part$"):
+        mix([])
     with pytest.raises(ValueError, match="sum"):
         mix([(0.4, mu)])
     with pytest.raises(ValueError, match="negative"):

@@ -48,6 +48,12 @@ def test_barycenter_respects_membership():
     assert barycenter(ball, FiniteMeasure([(1, 0), (-1, 0)], [0.5, 0.5])) == (0.0, 0.0)
     with pytest.raises(ValueError, match="outside"):
         barycenter(ball, dirac((2.0, 0.0)))
+    with pytest.raises(ValueError, match=r"^point \(0\.0, 1\.0, 2\.0\) has dimension 3, space has 2$"):
+        barycenter(ConvexSpace(2), dirac((0.0, 1.0, 2.0)))
+    # both atoms are members, their midpoint is not
+    ends = ConvexSpace(1, contains=lambda p: p[0] <= 0.0 or p[0] >= 1.0)
+    with pytest.raises(ValueError, match="membership predicate is not convex"):
+        barycenter(ends, FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5]))
 
 
 def test_barycenter_affine_in_the_measure():
@@ -198,6 +204,13 @@ def test_second_order_json_round_trip():
     assert measures_equal(flatten(back), flatten(M))
     with pytest.raises(ValueError, match="atoms"):
         second_order_from_json({"measure": {}})
+
+
+def test_reweight_identity_rejects_lists_of_unequal_length():
+    pts = [(0.0,), (1.0,)]
+    for lam, eps in (([0.5, 0.5, 0.0], [1.0, 1.0]), ([0.5, 0.5], [1.0])):
+        with pytest.raises(ValueError, match="^points, weights, and epsilons must have equal length$"):
+            reweight_series_check(pts, lam, 0, eps)
 
 
 def test_reweight_identity_rejects_non_finite_entries():

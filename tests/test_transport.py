@@ -5,7 +5,7 @@ import pytest
 
 from kantorovich import transport
 from kantorovich.ground import Discrete, Euclidean, GroundSpace, Manhattan
-from kantorovich.measures import FiniteMeasure, PartitionError, dirac, measures_equal
+from kantorovich.measures import FiniteMeasure, PartitionError, cell_of, dirac, measures_equal
 from kantorovich.transport import (
     brute_force_distance,
     cost_matrix,
@@ -167,6 +167,85 @@ def test_partition_coupling_diagonal_mass_and_feasibility():
             assert block == pytest.approx(min(a, b), abs=COST_TOL)
 
 
+def _frozen_partition_gamma(mu0, mu, cells):
+    """``partition_coupling``'s gamma as built before it routed leftover
+    block masses through ``_northwest_basis``: its own northwest-corner loop
+    skipped rows and columns whose leftover was at most 1e-15. Returns the
+    gamma and the leftovers, rows then columns."""
+    def assign(p):
+        k = cell_of(p, cells)
+        return 0 if k is None else k + 1
+
+    nblocks = len(cells) + 1
+    rows_in = [[] for _ in range(nblocks)]
+    cols_in = [[] for _ in range(nblocks)]
+    for i, p in enumerate(mu0.support):
+        rows_in[assign(p)].append(i)
+    for j, q in enumerate(mu.support):
+        cols_in[assign(q)].append(j)
+    a = np.array([float(mu0.weights[idx].sum()) for idx in rows_in])
+    b = np.array([float(mu.weights[idx].sum()) for idx in cols_in])
+    diag = np.minimum(a, b)
+    block_mass = {(k, k): float(diag[k]) for k in range(nblocks) if diag[k] > 0.0}
+    r = a - diag
+    c = b - diag
+    leftovers = r.tolist() + c.tolist()
+    i = j = 0
+    while i < nblocks and j < nblocks:
+        if r[i] <= 1e-15:
+            i += 1
+            continue
+        if c[j] <= 1e-15:
+            j += 1
+            continue
+        q = min(r[i], c[j])
+        block_mass[(i, j)] = block_mass.get((i, j), 0.0) + float(q)
+        r[i] -= q
+        c[j] -= q
+    gamma = np.zeros((len(mu0), len(mu)))
+    for (bi, bj), q in block_mass.items():
+        ridx, cidx = rows_in[bi], cols_in[bj]
+        if not ridx or not cidx or q <= 0.0:
+            continue
+        wr = mu0.weights[ridx] / a[bi]
+        wc = mu.weights[cidx] / b[bj]
+        gamma[np.ix_(ridx, cidx)] += q * np.outer(wr, wc)
+    return gamma, leftovers
+
+
+def test_partition_coupling_matches_the_frozen_leftover_loop():
+    # Independent measures leave leftovers far apart: gamma is the loop's, byte
+    # for byte. A reversed copy of mu0 with a few mass moves leaves rounding
+    # residues, and near-equal leftovers whose difference is one: the basis
+    # routes such a residue (at most 1e-15) to the next block where the loop
+    # skipped it, which moves entries of gamma by less than the residue.
+    rng = np.random.default_rng(29)
+    leftovers = []
+    for k in range(400):
+        pts = [(float(x),) for x in rng.random(int(rng.integers(4, 13)))]
+        space = GroundSpace(pts, Euclidean())
+        cuts = np.sort(rng.random(int(rng.integers(1, 5))))
+        # points below the first cut fall into the complement block
+        cells = [lambda p, lo=lo, hi=hi: lo <= p[0] < hi for lo, hi in zip(cuts, [*cuts[1:], 1.0])]
+        w = rng.random(len(pts))
+        mu0 = FiniteMeasure(pts, w / w.sum())
+        v = mu0.weights[::-1].copy() if k % 2 else rng.random(len(pts))
+        for _ in range(int(rng.integers(0, 4)) if k % 2 else 0):
+            i, j = rng.choice(len(v), 2, replace=False)
+            t = rng.random() * v[i]
+            v[i] -= t
+            v[j] += t
+        mu = FiniteMeasure(pts[::-1], v / v.sum())
+        live = partition_coupling(space, mu0, mu, cells).gamma
+        frozen, left = _frozen_partition_gamma(mu0, mu, cells)
+        leftovers.append(left)
+        if k % 2 == 0:
+            assert live.tobytes() == frozen.tobytes()
+        assert np.abs(live - frozen).max() <= 1e-15
+    assert sum(any(0.0 < x <= 1e-15 for x in left) for left in leftovers) >= 20
+    assert sum(any(x > 1e-15 for x in left) for left in leftovers) >= 200
+
+
 def test_partition_coupling_rejects_overlap():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     space = line_space(0, 1)
@@ -210,6 +289,54 @@ def _highs_cost(linprog, C, a, b) -> float:
                   bounds=(0, None), method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+@pytest.mark.parametrize("m, n", list(itertools.product(range(1, 5), repeat=2)))
+def test_spanning_tree_bases_are_the_trees_of_the_complete_bipartite_graph(m, n):
+    arc_index, solver = transport._spanning_tree_bases(m, n)
+    # Scoza's count of the spanning trees of K_{m,n}
+    assert arc_index.shape == (m ** (n - 1) * n ** (m - 1), m + n - 1)
+    assert solver.shape == (len(arc_index), m + n - 1, m + n)
+    for arcs in arc_index.tolist():
+        reached = {0}
+        for _ in range(m + n):
+            for i, j in (divmod(k, n) for k in arcs):
+                if i in reached or m + j in reached:
+                    reached |= {i, m + j}
+        assert len(reached) == m + n, arcs
+    # each solver gives flows whose node sums are the balanced weights
+    incidence = np.zeros((m + n, m * n))
+    for k in range(m * n):
+        i, j = divmod(k, n)
+        incidence[i, k] = incidence[m + j, k] = 1.0
+    rng = np.random.default_rng(10 * m + n)
+    a, b = rng.random(m), rng.random(n)
+    ab = np.concatenate([a / a.sum(), b / b.sum()])
+    for arcs, flow_of in zip(arc_index, solver):
+        assert np.abs(incidence[:, arcs] @ (flow_of @ ab) - ab).max() <= 1e-12
+
+
+def test_vertex_enumeration_matches_highs():
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(41)
+    grid = [(float(x), float(y)) for x in range(3) for y in range(3)]
+    for k in range(60):
+        if k % 2:
+            # tied integer costs and weights in sixths: degenerate vertices
+            pts = [grid[i] for i in rng.permutation(9)[:8]]
+            space = GroundSpace(pts, Manhattan())
+            wa, wb = rng.integers(1, 4, 4), rng.integers(1, 4, 4)
+        else:
+            pts = [tuple(p) for p in rng.random((8, 2))]
+            space = GroundSpace(pts, Euclidean())
+            wa, wb = rng.random(4) + 0.1, rng.random(4) + 0.1
+        mu, eta = FiniteMeasure(pts[:4], wa / wa.sum()), FiniteMeasure(pts[4:], wb / wb.sum())
+        oracle = brute_force_distance(space, mu, eta)
+        if oracle.solver != "vertex-enumeration":
+            continue  # uniform weights go to the permutation oracle
+        C = cost_matrix(space, mu.support, eta.support)
+        assert abs(oracle.cost - _highs_cost(linprog, C, mu.weights, eta.weights)) <= COST_TOL
+        assert oracle.coupling.check_marginals(mu, eta)
 
 
 def test_simplex_matches_highs():
