@@ -13,11 +13,11 @@ from kantorovich import (
     Discrete,
     Euclidean,
     GroundSpace,
+    MaxMetric,
+    PullbackMetric,
     TableMetric,
     coordinate_projection,
-    max_combine,
     metric_from_spec,
-    pullback,
     quotient,
     validate_pseudometric,
 )
@@ -39,12 +39,12 @@ print("table a-b:", table("a", "b"))
 # --- pullbacks produce pseudometrics ----------------------------------------
 
 # distance of first coordinates only: points sharing x1 collapse to distance 0
-first_axis = pullback(coordinate_projection([0]), Euclidean())
+first_axis = PullbackMetric(coordinate_projection([0]), Euclidean())
 print("first-axis (0,5)-(0,-3):", first_axis((0, 5), (0, -3)))
 
 # the pointwise max of the two axis pseudometrics is the chebyshev metric
-second_axis = pullback(coordinate_projection([1]), Euclidean())
-both = max_combine(first_axis, second_axis)
+second_axis = PullbackMetric(coordinate_projection([1]), Euclidean())
+both = MaxMetric([first_axis, second_axis])
 x, y = (0.2, 0.9), (0.5, 0.1)
 print("max of axis distances:", both(x, y), " chebyshev:", Chebyshev()(x, y))
 
@@ -61,7 +61,7 @@ space = GroundSpace([(0, 1), (0, 2), (1, 0), (1, 7)], first_axis)
 qspace, project = quotient(space, first_axis)
 print("quotient classes:", qspace.points)
 print("projection of (0,2):", project((0, 2)))
-print("class distance:", qspace.distance(*qspace.points))
+print("class distance:", qspace.metric(*qspace.points))
 
 # --- metrics from JSON specs -------------------------------------------------
 

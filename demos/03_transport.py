@@ -53,7 +53,7 @@ print("independent coupling costs more:", independent_coupling(a, b).cost_agains
 mu0 = FiniteMeasure([(0.0,), (10.0,)], [0.5, 0.5])
 mu1 = FiniteMeasure([(0.1,), (10.1,)], [0.5, 0.5])
 clusters = GroundSpace(mu0.support + mu1.support, Euclidean())
-coup = partition_coupling(clusters, mu0, mu1, [lambda p: p[0] < 5, lambda p: p[0] >= 5])
+coup = partition_coupling(mu0, mu1, [lambda p: p[0] < 5, lambda p: p[0] >= 5])
 C2 = cost_matrix(clusters, mu0.support, mu1.support)
 print("partition coupling keeps mass inside clusters, cost:", coup.cost_against(C2))
 

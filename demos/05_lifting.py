@@ -12,18 +12,18 @@ from kantorovich import (
     Euclidean,
     FiniteMeasure,
     GroundSpace,
+    PullbackMetric,
     coordinate_projection,
     dirac,
     kantorovich,
     lifted_pseudometric,
-    pullback,
     pushforward,
     quotient,
     reweight_series_check,
 )
 
 # the pseudometric that only sees the first coordinate
-first_axis = pullback(coordinate_projection([0]), Euclidean())
+first_axis = PullbackMetric(coordinate_projection([0]), Euclidean())
 
 pts = [(0.0, 5.0), (0.0, -3.0), (1.0, 0.0), (1.0, 9.0), (2.5, 2.0)]
 space = GroundSpace(pts, first_axis)
@@ -49,8 +49,8 @@ print(f"via quotient {via_quotient:.12f} = direct {direct:.12f}")
 target_pts = [tuple(p) for p in rng.random((4, 2))]
 assignment = {p: target_pts[i % 4] for i, p in enumerate(space.points)}
 f = assignment.__getitem__
-p = pullback(coordinate_projection([1]), Euclidean())
-rho = pullback(f, p)
+p = PullbackMetric(coordinate_projection([1]), Euclidean())
+rho = PullbackMetric(f, p)
 lhs = lifted_pseudometric(GroundSpace(space.points, rho), rho, mu, eta)
 rhs = lifted_pseudometric(GroundSpace(target_pts, p), p, pushforward(f, mu), pushforward(f, eta))
 print(f"pullback commutation {lhs:.12f} = {rhs:.12f}")

@@ -20,9 +20,7 @@ from .ground import (
     TableMetric,
     ZeroMetric,
     coordinate_projection,
-    max_combine,
     metric_from_spec,
-    pullback,
     quotient,
     validate_pseudometric,
 )

@@ -20,8 +20,8 @@ from .points import (
     as_point,
     canonical_coordinates,
     is_coordinate,
+    is_finite,
     json_number,
-    points_equal,
 )
 
 #: Geometry tolerance for axiom checks and zero-distance identification.
@@ -129,8 +129,14 @@ class Discrete(GroundMetric):
 
     def pairwise(self, xs, ys):
         xs, ys = [as_point(x) for x in xs], [as_point(y) for y in ys]
-        same = np.array([[points_equal(x, y) for y in ys] for x in xs], dtype=bool)
-        return self._capped(np.where(same.reshape(len(xs), len(ys)), 0.0, 1.0))
+        # the index refuses a point with a non-finite coordinate, which
+        # equals no point, itself included
+        cols = [j for j, y in enumerate(ys) if is_finite(y)]
+        index = PointIndex([ys[j] for j in cols])
+        same = np.zeros((len(xs), len(ys)), dtype=bool)
+        for i, x in enumerate(xs):
+            same[i, [cols[k] for k in index.matches(x)]] = True
+        return self._capped(np.where(same, 0.0, 1.0))
 
 
 def _distinct_index(pts: Sequence[Point], what: str) -> PointIndex:
@@ -236,16 +242,6 @@ class ZeroMetric(GroundMetric):
         return np.zeros((len(xs), len(ys)))
 
 
-def max_combine(p1: GroundMetric, p2: GroundMetric) -> GroundMetric:
-    """Pointwise maximum of two pseudometrics on the same point set."""
-    return MaxMetric([p1, p2])
-
-
-def pullback(f: Callable[[Point], Point], p: GroundMetric) -> GroundMetric:
-    """Pull a pseudometric back along a point map."""
-    return PullbackMetric(f, p)
-
-
 def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
     """Map selecting the given coordinate indices of a coordinate point."""
     indices = list(indices)
@@ -291,9 +287,6 @@ class GroundSpace:
         self.points = pts
         self.metric = metric
         self._diameter: float | None = None
-
-    def distance(self, x, y) -> float:
-        return self.metric(x, y)
 
     def diameter(self) -> float:
         """Largest pairwise distance; finite because the point list is."""

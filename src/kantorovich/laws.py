@@ -29,7 +29,6 @@ from .ground import (
     Manhattan,
     PullbackMetric,
     coordinate_projection,
-    pullback,
 )
 from .measures import WEIGHT_TOL, FiniteMeasure, dirac, measure_deviation, mix, pushforward
 from .monad import (
@@ -188,24 +187,33 @@ def _metric_axioms(rng, s, shared, tol):
     return abs(d_me - d_em), d_mn - d_me - d_en
 
 
+def _diameter_deviation(rng, metric: GroundMetric, distance: Callable) -> tuple[float]:
+    """On a random space under ``metric``: by how much ``distance(space, mu,
+    eta)`` of two random measures exceeds the diameter, or a diameter pair
+    of Diracs misses it, whichever is worse."""
+    space = random_space(rng, 8, 2, metric)
+    diam = space.diameter()
+    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
+    above = distance(space, mu, eta) - diam
+    d = metric.pairwise(space.points, space.points)
+    i, j = np.unravel_index(int(d.argmax()), d.shape)
+    attained = distance(space, dirac(space.points[i]), dirac(space.points[j]))
+    return (worst((above, abs(attained - diam))),)
+
+
 def _diameter_preservation(rng, s, shared, tol):
     """No pair of measures is farther apart than the space's diameter,
     and a diameter pair of Diracs attains it."""
-    space = random_space(rng, 8, 2)
-    diam = space.diameter()
-    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
-    above = kantorovich(space, mu, eta).cost - diam
-    d = space.metric.pairwise(space.points, space.points)
-    i, j = np.unravel_index(int(d.argmax()), d.shape)
-    attained = kantorovich(space, dirac(space.points[i]), dirac(space.points[j])).cost
-    return (worst((above, abs(attained - diam))),)
+    return _diameter_deviation(
+        rng, Euclidean(), lambda space, *pair: kantorovich(space, *pair).cost
+    )
 
 
 def _dirac_isometry(rng, s, shared, tol):
     """Dirac measures sit at exactly the ground distance from each other."""
     space = random_space(rng, 6, 2)
     x, y = (space.points[int(i)] for i in rng.choice(len(space.points), 2, replace=False))
-    return (abs(kantorovich(space, dirac(x), dirac(y)).cost - space.distance(x, y)),)
+    return (abs(kantorovich(space, dirac(x), dirac(y)).cost - space.metric(x, y)),)
 
 
 ThirdOrder = Sequence[tuple[float, FiniteMeasure]]
@@ -288,16 +296,21 @@ def _affine_map(A: np.ndarray, c: np.ndarray) -> Callable:
     return lambda p: tuple((A @ np.asarray(p, dtype=float) + c).tolist())
 
 
+def _pushforward_gap(rng, src: GroundSpace, f: Callable) -> float:
+    """The distance of two random measures on ``src`` after pushing them
+    along ``f`` into a Euclidean space, minus their distance before."""
+    mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
+    dst = GroundSpace([f(p) for p in src.points], Euclidean())
+    lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
+    return lhs - kantorovich(src, mu, eta).cost
+
+
 def _isometry_preservation(rng, s, shared, tol):
     """Pushing forward along an isometric embedding preserves distances."""
     src = random_space(rng, 8, 2)
     Q = _random_rotation(rng, 3, 2)
     c = rng.normal(size=3)
-    f = _affine_map(Q, c)
-    mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
-    dst = GroundSpace([f(p) for p in src.points], Euclidean())
-    lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
-    return (abs(lhs - kantorovich(src, mu, eta).cost),)
+    return (abs(_pushforward_gap(rng, src, _affine_map(Q, c))),)
 
 
 def _nonexpansion_preservation(rng, s, shared, tol):
@@ -308,10 +321,7 @@ def _nonexpansion_preservation(rng, s, shared, tol):
         f = _affine_map(scale * _random_rotation(rng, 2, 2), rng.normal(size=2))
     else:
         f = coordinate_projection([0])
-    mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
-    dst = GroundSpace([f(p) for p in src.points], Euclidean())
-    lhs = kantorovich(dst, pushforward(f, mu), pushforward(f, eta)).cost
-    return (lhs - kantorovich(src, mu, eta).cost,)
+    return (_pushforward_gap(rng, src, f),)
 
 
 def _sup_distance_identity(rng, s, shared, tol):
@@ -322,7 +332,7 @@ def _sup_distance_identity(rng, s, shared, tol):
     table_f = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
     table_g = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
     f, g = table_f.__getitem__, table_g.__getitem__
-    sup_d = max(space.distance(f(y), g(y)) for y in domain)
+    sup_d = max(space.metric(f(y), g(y)) for y in domain)
     mus = (random_measure(rng, domain) for _ in range(20))
     devs = [kantorovich(space, pushforward(f, mu), pushforward(g, mu)).cost - sup_d for mu in mus]
     dirac_max = worst(
@@ -430,7 +440,7 @@ def _pullback_lift_commutation(rng, s, shared, tol):
     f = assignment.__getitem__
     p = _random_pseudometric(rng)
     dst = GroundSpace(dst_points, p)
-    rho = pullback(f, p)
+    rho = PullbackMetric(f, p)
     rho_space = GroundSpace(src.points, rho)
     mu, eta = random_measure(rng, src.points), random_measure(rng, src.points)
     lhs = lifted_pseudometric(rho_space, rho, mu, eta)
@@ -464,14 +474,7 @@ def _reweight_identity(rng, s, shared, tol):
 def _lifted_diameter(rng, s, shared, tol):
     """A lifted pseudometric keeps the diameter of the ground pseudometric."""
     p = _random_pseudometric(rng)
-    space = random_space(rng, 8, 2, p)
-    diam = space.diameter()
-    mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
-    above = lifted_pseudometric(space, p, mu, eta) - diam
-    d = p.pairwise(space.points, space.points)
-    i, j = np.unravel_index(int(d.argmax()), d.shape)
-    attained = lifted_pseudometric(space, p, dirac(space.points[i]), dirac(space.points[j]))
-    return (worst((above, abs(attained - diam))),)
+    return _diameter_deviation(rng, p, lambda space, *pair: lifted_pseudometric(space, p, *pair))
 
 
 # ---------------------------------------------------------------------------

@@ -397,7 +397,9 @@ def measure_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> FiniteMeasure:
 
 
 def second_order_from_json(obj, *, mass_tol: float = WEIGHT_TOL) -> FiniteMeasure:
-    """Load ``{"atoms": [{"measure": {...}, "w": ...}, ...]}``."""
+    """Load ``{"atoms": [{"measure": {...}, "w": ...}, ...]}``, each entry read
+    by :func:`measure_from_json`: exactly two levels, so a third-order measure
+    that :func:`measure_to_json` wrote raises ``ValueError``."""
     return _load_measure(obj, "measure", mass_tol)
 
 
@@ -408,6 +410,7 @@ def atom_to_json(atom):
 
 def measure_to_json(mu: SubProbabilityMeasure) -> dict:
     """``{"atoms": [{"point": ..., "w": ...}, ...]}``, with ``"measure"`` in
-    place of ``"point"`` for a measure of measures."""
+    place of ``"point"`` for a measure of measures, at any depth; the loaders
+    read back only two levels."""
     key = "measure" if isinstance(mu._index, MeasureIndex) else "point"
     return {"atoms": [{key: atom_to_json(a), "w": float(w)} for a, w in mu.items()]}

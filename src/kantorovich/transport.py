@@ -283,12 +283,9 @@ def independent_coupling(mu: FiniteMeasure, eta: FiniteMeasure) -> Coupling:
 
 
 def partition_coupling(
-    space: GroundSpace,
-    mu0: FiniteMeasure,
-    mu: FiniteMeasure,
-    cells: Sequence[Callable[[Point], bool]],
+    mu0: FiniteMeasure, mu: FiniteMeasure, cells: Sequence[Callable[[Point], bool]]
 ) -> Coupling:
-    """Feasible coupling built from a partition into cells.
+    """Feasible coupling of ``mu0`` and ``mu`` built from a partition into cells.
 
     Block ``(i, i)`` gets mass ``min(mu0(V_i), mu(V_i))`` as a normalized
     product measure; leftover row and column mass is routed off-diagonal

@@ -99,7 +99,7 @@ def test_criterion_03_dirac_isometry_and_diameter():
         space = GroundSpace(pts, Euclidean())
         for i in range(20):
             for j in range(i + 1, 20):
-                d = space.distance(pts[i], pts[j])
+                d = space.metric(pts[i], pts[j])
                 assert abs(kantorovich(space, dirac(pts[i]), dirac(pts[j])).cost - d) <= 1e-12
         diam = space.diameter()
         for _ in range(200):
@@ -174,7 +174,7 @@ def test_criterion_11_partition_coupling():
                 (lambda p, lo=lo, hi=hi: lo <= p[0] < hi)
                 for lo, hi in zip(edges[:-1], edges[1:])
             ]
-            coup = partition_coupling(space, mu0, mu, cells)
+            coup = partition_coupling(mu0, mu, cells)
             assert coup.check_marginals(mu0, mu, tol=COST_TOL)
             blocks = list(cells) + [lambda p, cs=cells: not any(c(p) for c in cs)]
             for cell in blocks:

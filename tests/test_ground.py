@@ -17,12 +17,11 @@ from kantorovich.ground import (
     TableMetric,
     ZeroMetric,
     coordinate_projection,
-    max_combine,
     metric_from_spec,
-    pullback,
     quotient,
     validate_pseudometric,
 )
+from kantorovich.points import CELL, COORD_TOL, points_equal
 
 GEOM_TOL = 1e-12
 
@@ -36,6 +35,33 @@ def test_discrete_identity():
     assert d("a", "a") == 0.0
     assert d("a", "b") == 1.0
     assert d((0.0, 1.0), (0.0, 1.0)) == 0.0
+
+
+def test_discrete_pairwise_matches_the_points_equal_grid():
+    # near duplicates at tol/2 and 1.5 tol, on both sides of a cell edge of
+    # the point index, labels, product points and non-finite points
+    tol, edge, nan = COORD_TOL, 0.5 * CELL, float("nan")
+    pts = [
+        (0.3, 0.7), (0.3 + tol / 2, 0.7), (0.3 - tol / 2, 0.7 + tol / 2),
+        (0.3 + 1.5 * tol, 0.7), (0.3, 0.7 - 1.5 * tol),
+        (edge,), (edge - tol / 2,), (edge + tol / 2,), (edge - 1.5 * tol,), (edge + 1.5 * tol,),
+        "a", "b", "a",
+        ((0.3, 0.7), "a"), ((0.3 + tol / 2, 0.7), "a"), ((0.3, 0.7), "b"),
+        ((edge,), (1.0,)), ((edge + tol / 2,), (1.0 - tol / 2,)),
+        (nan, 0.7), (float("inf"),), ((nan,), "a"),
+    ]
+    grid = [[0.0 if points_equal(x, y) else 1.0 for y in pts] for x in pts]
+    d = Discrete().pairwise(pts, pts)
+    assert d.tolist() == grid
+    # a point with a non-finite coordinate equals no point, itself included
+    assert [d[i, i] for i in range(-3, 0)] == [1.0, 1.0, 1.0]
+    # the grid has matches, across the cell edge too
+    assert d[0, 1] == d[5, 6] == d[5, 7] == d[10, 12] == d[13, 14] == d[16, 17] == 0.0
+    xs, ys = pts[:12], pts[5:]
+    assert Discrete(cap=0.5).pairwise(xs, ys).tolist() == [
+        [0.0 if points_equal(x, y) else 0.5 for y in ys] for x in xs
+    ]
+    assert Discrete().pairwise([], pts).shape == (0, len(pts))
 
 
 def test_table_readback_and_unknown_label():
@@ -92,17 +118,17 @@ def test_cap_truncates():
 
 def test_max_with_zero_and_idempotence():
     d = Discrete()
-    combined = max_combine(d, ZeroMetric())
+    combined = MaxMetric([d, ZeroMetric()])
     assert combined("x", "y") == 1.0
-    same = max_combine(d, d)
+    same = MaxMetric([d, d])
     assert same("x", "y") == d("x", "y")
 
 
 def test_max_of_axis_distances_is_chebyshev():
     # pointwise comparison over a random sample of pairs
-    p1 = pullback(coordinate_projection([0]), Euclidean())
-    p2 = pullback(coordinate_projection([1]), Euclidean())
-    combined = max_combine(p1, p2)
+    p1 = PullbackMetric(coordinate_projection([0]), Euclidean())
+    p2 = PullbackMetric(coordinate_projection([1]), Euclidean())
+    combined = MaxMetric([p1, p2])
     cheb = Chebyshev()
     rng = np.random.default_rng(7)
     for x, y in zip(rng.random((50, 2)), rng.random((50, 2))):
@@ -113,7 +139,7 @@ def test_max_combine_rejects_incompatible_tables():
     t1 = TableMetric(["a", "b"], [[0, 1], [1, 0]])
     t2 = TableMetric(["a", "c"], [[0, 1], [1, 0]])
     with pytest.raises(ValueError, match="incompatible"):
-        max_combine(t1, t2)
+        MaxMetric([t1, t2])
 
 
 def test_max_combine_compares_table_points_under_point_identity():
@@ -134,9 +160,9 @@ def test_max_combine_commutative_associative():
     a, b, c = Euclidean(), Manhattan(), Discrete()
     for x, y in zip(rng.random((20, 2)), rng.random((20, 2))):
         x, y = tuple(x), tuple(y)
-        assert max_combine(a, b)(x, y) == max_combine(b, a)(x, y)
-        assert max_combine(max_combine(a, b), c)(x, y) == pytest.approx(
-            max_combine(a, max_combine(b, c))(x, y), abs=GEOM_TOL
+        assert MaxMetric([a, b])(x, y) == MaxMetric([b, a])(x, y)
+        assert MaxMetric([MaxMetric([a, b]), c])(x, y) == pytest.approx(
+            MaxMetric([a, MaxMetric([b, c])])(x, y), abs=GEOM_TOL
         )
 
 
@@ -144,11 +170,11 @@ def test_pullback_special_cases():
     p = Euclidean()
     const = PullbackMetric(lambda _: (0.0,), p)
     assert const((1, 2), (5, 9)) == 0.0
-    ident = pullback(lambda q: q, p)
+    ident = PullbackMetric(lambda q: q, p)
     rng = np.random.default_rng(11)
     for x, y in zip(rng.random((20, 2)), rng.random((20, 2))):
         assert ident(tuple(x), tuple(y)) == p(tuple(x), tuple(y))
-    first = pullback(coordinate_projection([0]), Euclidean())
+    first = PullbackMetric(coordinate_projection([0]), Euclidean())
     assert first((0, 5), (0, 9)) == 0.0
 
 
@@ -161,8 +187,8 @@ def test_axiom_checks_on_constructed_metrics():
         Chebyshev(),
         Discrete(),
         Euclidean(cap=0.4),
-        max_combine(Euclidean(), Manhattan()),
-        pullback(coordinate_projection([1]), Euclidean()),
+        MaxMetric([Euclidean(), Manhattan()]),
+        PullbackMetric(coordinate_projection([1]), Euclidean()),
     ]
     for m in metrics:
         validate_pseudometric(pts, m)  # must not raise
@@ -198,17 +224,17 @@ def test_quotient_total_collapse():
 
 
 def test_quotient_first_coordinate():
-    p = pullback(coordinate_projection([0]), Euclidean())
+    p = PullbackMetric(coordinate_projection([0]), Euclidean())
     space = GroundSpace([(0, 1), (0, 2), (1, 0)], p)
     q, proj = quotient(space, p)
     assert q.points == ((0.0, 1.0), (1.0, 0.0))
-    assert q.distance(q.points[0], q.points[1]) == pytest.approx(1.0, abs=GEOM_TOL)
+    assert q.metric(q.points[0], q.points[1]) == pytest.approx(1.0, abs=GEOM_TOL)
     assert proj((0, 2)) == (0.0, 1.0)
     # quotient metric is a genuine metric: distinct classes at positive distance
     for i, a in enumerate(q.points):
         for j, b in enumerate(q.points):
             if i != j:
-                assert q.distance(a, b) > GEOM_TOL
+                assert q.metric(a, b) > GEOM_TOL
 
 
 def test_quotient_rejects_non_pseudometric():
@@ -222,7 +248,7 @@ def test_quotient_rejects_non_pseudometric():
 
 
 def test_quotient_evaluates_the_pseudometric_once(monkeypatch):
-    p = pullback(coordinate_projection([0]), Euclidean())
+    p = PullbackMetric(coordinate_projection([0]), Euclidean())
     calls = 0
     original = PullbackMetric.pairwise
 
@@ -537,7 +563,7 @@ def test_metric_defining_only_raw_works_everywhere():
     q, proj = quotient(GroundSpace(pts, m), m)
     assert q.points == ((0.0, 1.0), (1.0, 0.0), (4.0, 4.0))
     assert proj((0.0, 2.0)) == (0.0, 1.0)
-    assert q.distance((0.0, 1.0), (4.0, 4.0)) == 2.5
+    assert q.metric((0.0, 1.0), (4.0, 4.0)) == 2.5
 
 
 def _k_loop_axioms(d, pts, tol=GEOM_TOL):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kantorovich.ground import Euclidean, GroundSpace, coordinate_projection, pullback
+from kantorovich.ground import Euclidean, GroundSpace, PullbackMetric, coordinate_projection
 from kantorovich.laws import (
     algebra_deviations,
     random_measure,
@@ -178,7 +178,7 @@ def test_lifted_pseudometric_examples():
         kantorovich(space, mu, eta).cost, abs=TOL
     )
     # collapsing pseudometric sends same-first-coordinate Diracs to distance 0
-    p = pullback(coordinate_projection([0]), Euclidean())
+    p = PullbackMetric(coordinate_projection([0]), Euclidean())
     space2 = GroundSpace([(0.0, 5.0), (0.0, -3.0)], p)
     assert lifted_pseudometric(space2, p, dirac((0.0, 5.0)), dirac((0.0, -3.0))) == 0.0
 

@@ -98,7 +98,7 @@ def test_optimality_certificate_under_feasible_couplings():
         assert best <= independent_coupling(mu, eta).cost_against(C) + COST_TOL
         cut = float(rng.random())
         cells = [lambda p: p[0] < cut, lambda p: p[0] >= cut]
-        part = partition_coupling(space, mu, eta, cells)
+        part = partition_coupling(mu, eta, cells)
         assert best <= part.cost_against(C) + COST_TOL
 
 
@@ -108,7 +108,7 @@ def test_partition_coupling_identical_measures():
     space = GroundSpace(pts, Euclidean())
     mu = random_measure(rng, pts, 6)
     cells = [lambda p: p[0] < 0.5, lambda p: p[0] >= 0.5]
-    coup = partition_coupling(space, mu, mu, cells)
+    coup = partition_coupling(mu, mu, cells)
     assert coup.check_marginals(mu, mu)
     # residuals vanish, so every cell's mass stays on its diagonal block and
     # the cost is at most the largest within-cell diameter
@@ -124,8 +124,7 @@ def test_partition_coupling_identical_measures():
 def test_partition_coupling_single_cell_is_independent():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.25, 0.75])
     eta = FiniteMeasure([(0.5,), (2.0,)], [0.5, 0.5])
-    space = line_space(0, 0.5, 1, 2)
-    coup = partition_coupling(space, mu, eta, [lambda p: True])
+    coup = partition_coupling(mu, eta, [lambda p: True])
     assert np.allclose(coup.gamma, independent_coupling(mu, eta).gamma)
 
 
@@ -135,7 +134,7 @@ def test_partition_coupling_two_clusters():
     mu0 = FiniteMeasure([(0.0,), (10.0,)], [0.5, 0.5])
     mu = FiniteMeasure([(0.1,), (10.1,)], [0.5, 0.5])
     cells = [lambda p: p[0] < 5, lambda p: p[0] >= 5]
-    coup = partition_coupling(space, mu0, mu, cells)
+    coup = partition_coupling(mu0, mu, cells)
     assert coup.check_marginals(mu0, mu)
     C = cost_matrix(space, mu0.support, mu.support)
     assert coup.cost_against(C) == pytest.approx(0.1, abs=COST_TOL)
@@ -148,7 +147,6 @@ def test_partition_coupling_diagonal_mass_and_feasibility():
     rng = np.random.default_rng(17)
     for _ in range(30):
         pts = [tuple(p) for p in rng.random((10, 2))]
-        space = GroundSpace(pts, Euclidean())
         mu0, mu = random_measure(rng, pts, 6), random_measure(rng, pts, 6)
         cuts = sorted(rng.random(2))
         cells = [
@@ -156,7 +154,7 @@ def test_partition_coupling_diagonal_mass_and_feasibility():
             lambda p, a=cuts[0], b=cuts[1]: a <= p[0] < b,
             lambda p, c=cuts[1]: p[0] >= c,
         ]
-        coup = partition_coupling(space, mu0, mu, cells)
+        coup = partition_coupling(mu0, mu, cells)
         assert coup.check_marginals(mu0, mu)
         for cell in cells:
             rows = [i for i, p in enumerate(mu0.support) if cell(p)]
@@ -223,7 +221,6 @@ def test_partition_coupling_matches_the_frozen_leftover_loop():
     leftovers = []
     for k in range(400):
         pts = [(float(x),) for x in rng.random(int(rng.integers(4, 13)))]
-        space = GroundSpace(pts, Euclidean())
         cuts = np.sort(rng.random(int(rng.integers(1, 5))))
         # points below the first cut fall into the complement block
         cells = [lambda p, lo=lo, hi=hi: lo <= p[0] < hi for lo, hi in zip(cuts, [*cuts[1:], 1.0])]
@@ -236,7 +233,7 @@ def test_partition_coupling_matches_the_frozen_leftover_loop():
             v[i] -= t
             v[j] += t
         mu = FiniteMeasure(pts[::-1], v / v.sum())
-        live = partition_coupling(space, mu0, mu, cells).gamma
+        live = partition_coupling(mu0, mu, cells).gamma
         frozen, left = _frozen_partition_gamma(mu0, mu, cells)
         leftovers.append(left)
         if k % 2 == 0:
@@ -248,15 +245,13 @@ def test_partition_coupling_matches_the_frozen_leftover_loop():
 
 def test_partition_coupling_rejects_overlap():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
-    space = line_space(0, 1)
     with pytest.raises(PartitionError, match=r"^atom \(0\.0,\) matched by cells 0 and 1$"):
-        partition_coupling(space, mu, mu, [lambda p: True, lambda p: p[0] < 1])
+        partition_coupling(mu, mu, [lambda p: True, lambda p: p[0] < 1])
 
 
 def test_partition_coupling_empty_cell_allowed():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
-    space = line_space(0, 1)
-    coup = partition_coupling(space, mu, mu, [lambda p: p[0] > 5, lambda p: p[0] <= 5])
+    coup = partition_coupling(mu, mu, [lambda p: p[0] > 5, lambda p: p[0] <= 5])
     assert coup.check_marginals(mu, mu)
 
 
@@ -477,7 +472,7 @@ def test_lipschitz_gap_names_the_first_violating_pair():
         joint = list(mu.support) + [p for p in eta.support if mu.index_of(p) is None]
         first = next(
             ((x, y) for x, y in itertools.combinations(joint, 2)
-             if abs(f(x) - f(y)) > space.distance(x, y) + 1e-12),
+             if abs(f(x) - f(y)) > space.metric(x, y) + 1e-12),
             None,
         )
         if first is None:
