@@ -124,10 +124,8 @@ def random_points(rng: np.random.Generator, n: int, dim: int = 2) -> list[tuple]
     return [tuple(row) for row in rng.random((n, dim)).tolist()]
 
 
-def random_space(
-    rng: np.random.Generator, n: int = 8, dim: int = 2, metric: GroundMetric | None = None
-) -> GroundSpace:
-    return GroundSpace(random_points(rng, n, dim), metric or Euclidean())
+def random_space(rng: np.random.Generator, n: int = 8, metric: GroundMetric | None = None) -> GroundSpace:
+    return GroundSpace(random_points(rng, n, 2), metric or Euclidean())
 
 
 def random_measure(
@@ -151,10 +149,8 @@ def random_second_order(
     return FiniteMeasure(inner, w / w.sum())
 
 
-def random_third_order(
-    rng: np.random.Generator, points: Sequence, max_parts: int = 3
-) -> list[tuple[float, FiniteMeasure]]:
-    k = int(rng.integers(1, max_parts + 1))
+def random_third_order(rng: np.random.Generator, points: Sequence) -> list[tuple[float, FiniteMeasure]]:
+    k = int(rng.integers(1, 4))
     w = rng.random(k) + 0.1
     w = w / w.sum()
     return [(float(w[i]), random_second_order(rng, points, 3, 4)) for i in range(k)]
@@ -178,7 +174,7 @@ _PLANE, _CUBE = ConvexSpace(2), ConvexSpace(3)
 
 def _metric_axioms(rng, s, shared, tol):
     """Symmetry and the triangle inequality of the coupling distance."""
-    space = random_space(rng, 8, 2, _METRICS[s % 3])
+    space = random_space(rng, 8, _METRICS[s % 3])
     mu, eta, nu = (random_measure(rng, space.points) for _ in range(3))
     d_me = kantorovich(space, mu, eta).cost
     d_em = kantorovich(space, eta, mu).cost
@@ -191,7 +187,7 @@ def _diameter_deviation(rng, metric: GroundMetric, distance: Callable) -> tuple[
     """On a random space under ``metric``: by how much ``distance(space, mu,
     eta)`` of two random measures exceeds the diameter, or a diameter pair
     of Diracs misses it, whichever is worse."""
-    space = random_space(rng, 8, 2, metric)
+    space = random_space(rng, 8, metric)
     diam = space.diameter()
     mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
     above = distance(space, mu, eta) - diam
@@ -211,7 +207,7 @@ def _diameter_preservation(rng, s, shared, tol):
 
 def _dirac_isometry(rng, s, shared, tol):
     """Dirac measures sit at exactly the ground distance from each other."""
-    space = random_space(rng, 6, 2)
+    space = random_space(rng, 6)
     x, y = (space.points[int(i)] for i in rng.choice(len(space.points), 2, replace=False))
     return (abs(kantorovich(space, dirac(x), dirac(y)).cost - space.metric(x, y)),)
 
@@ -307,7 +303,7 @@ def _pushforward_gap(rng, src: GroundSpace, f: Callable) -> float:
 
 def _isometry_preservation(rng, s, shared, tol):
     """Pushing forward along an isometric embedding preserves distances."""
-    src = random_space(rng, 8, 2)
+    src = random_space(rng, 8)
     Q = _random_rotation(rng, 3, 2)
     c = rng.normal(size=3)
     return (abs(_pushforward_gap(rng, src, _affine_map(Q, c))),)
@@ -315,7 +311,7 @@ def _isometry_preservation(rng, s, shared, tol):
 
 def _nonexpansion_preservation(rng, s, shared, tol):
     """Pushing forward along a 1-Lipschitz map never increases distance."""
-    src = random_space(rng, 8, 2)
+    src = random_space(rng, 8)
     if s % 2 == 0:
         scale = 0.2 + 0.8 * rng.random()
         f = _affine_map(scale * _random_rotation(rng, 2, 2), rng.normal(size=2))
@@ -328,7 +324,7 @@ def _sup_distance_identity(rng, s, shared, tol):
     """The distance between two pushforward maps is the sup of the ground
     distances of their values, attained at a Dirac."""
     domain = [f"y{k}" for k in range(10)]
-    space = random_space(rng, 10, 2)
+    space = random_space(rng, 10)
     table_f = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
     table_g = {y: space.points[int(i)] for y, i in zip(domain, rng.integers(0, 10, 10))}
     f, g = table_f.__getitem__, table_g.__getitem__
@@ -345,7 +341,7 @@ def _sup_distance_identity(rng, s, shared, tol):
 
 def _convexity(rng, s, shared, tol):
     """The coupling distance is convex under mixing."""
-    space = random_space(rng, 8, 2, _METRICS[s % 2])
+    space = random_space(rng, 8, _METRICS[s % 2])
     mu, mu2, eta, eta2 = (random_measure(rng, space.points, 4) for _ in range(4))
     d1 = kantorovich(space, mu, mu2).cost
     d2 = kantorovich(space, eta, eta2).cost
@@ -360,7 +356,7 @@ def _convexity(rng, s, shared, tol):
 def _barycenter_nonexpansion(rng, s, shared, tol):
     """Averaging contracts: barycenters are at most the coupling distance apart."""
     metric = _METRICS[s % 2]
-    space = random_space(rng, 8, 2, metric)
+    space = random_space(rng, 8, metric)
     mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
     lhs = metric(barycenter(_PLANE, mu), barycenter(_PLANE, eta))
     return (lhs - kantorovich(space, mu, eta).cost,)
@@ -398,7 +394,7 @@ def _mass_transport_bound(rng, s, shared, tol):
 
 def _flatten_nonexpansion(rng, s, shared, tol):
     """Flattening never increases the (second-order) coupling distance."""
-    space = random_space(rng, 8, 2)
+    space = random_space(rng, 8)
     M = random_second_order(rng, space.points)
     N = random_second_order(rng, space.points)
     outer = second_order_distance(space, M, N).cost
@@ -408,7 +404,7 @@ def _flatten_nonexpansion(rng, s, shared, tol):
 def _dirac_flatten_equality(rng, s, shared, tol):
     """Distance from a doubly Dirac measure equals the distance to the
     flattened measure."""
-    space = random_space(rng, 8, 2)
+    space = random_space(rng, 8)
     x = space.points[int(rng.integers(len(space.points)))]
     M = random_second_order(rng, space.points)
     lhs = second_order_distance(space, dirac(dirac(x)), M).cost
@@ -426,7 +422,7 @@ def _lift_consistency(rng, s, shared, tol):
     """Lifting through the quotient agrees with costing the pseudometric
     directly."""
     p = _random_pseudometric(rng)
-    space = random_space(rng, 8, 2, p)
+    space = random_space(rng, 8, p)
     mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
     via_quotient = lifted_pseudometric(space, p, mu, eta)
     return (abs(via_quotient - kantorovich(space, mu, eta).cost),)
@@ -434,7 +430,7 @@ def _lift_consistency(rng, s, shared, tol):
 
 def _pullback_lift_commutation(rng, s, shared, tol):
     """Lifting a pulled-back pseudometric equals lifting after pushforward."""
-    src = random_space(rng, 8, 2)
+    src = random_space(rng, 8)
     dst_points = random_points(rng, 6, 2)
     assignment = {p: dst_points[int(i)] for p, i in zip(src.points, rng.integers(0, 6, 8))}
     f = assignment.__getitem__
@@ -448,10 +444,10 @@ def _pullback_lift_commutation(rng, s, shared, tol):
     return (abs(lhs - rhs),)
 
 
-def make_reweight_instance(rng, dim: int = 3):
+def make_reweight_instance(rng):
     """A feasible instance of the convex-combination rewrite."""
     k = int(rng.integers(2, 7))
-    pts = random_points(rng, k, dim)
+    pts = random_points(rng, k, 3)
     lam = rng.random(k) + 0.05
     lam = lam / lam.sum()
     m = int(lam.argmax())
@@ -499,7 +495,7 @@ LAWS = [
     Law(("coupling-distance-symmetry", "coupling-distance-triangle"), 1e-8, _metric_axioms),
     Law(("diameter-preservation",), 1e-9, _diameter_preservation),
     Law(("dirac-isometry",), 1e-12, _dirac_isometry),
-    Law(MONAD_LAWS, 1e-9, _monad_laws, lambda rng: random_space(rng, 10, 2)),
+    Law(MONAD_LAWS, 1e-9, _monad_laws, lambda rng: random_space(rng, 10)),
     Law(ALGEBRA_LAWS, 1e-9, _algebra_laws, lambda rng: random_points(rng, 10, 3)),
     Law(("isometric-embedding-preservation",), 1e-8, _isometry_preservation),
     Law(("nonexpanding-map-preservation",), 1e-9, _nonexpansion_preservation),

@@ -41,14 +41,6 @@ class PartitionError(ValueError):
     """Cells overlap on the support or fail to cover it."""
 
 
-def _check_weights(ws: list[float]) -> None:
-    """Raise on a non-finite weight, then on a negative one; else return."""
-    if not all(map(isfinite, ws)):
-        raise ValueError("non-finite weight")
-    if ws and min(ws) < 0.0:
-        raise ValueError("negative weight")
-
-
 class MeasureIndex(PointIndex):
     """The :class:`PointIndex` of measure atoms: measures are bucketed by
     support size, which equal measures share, and :func:`measures_equal`
@@ -71,6 +63,12 @@ class MeasureIndex(PointIndex):
 
 
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
+    """The support index and merged weights of ``atoms``, zero weights dropped.
+
+    Raises, in this order: on a malformed point, on weights that are not 1-D,
+    on a count mismatch, on mixed atom kinds, on a non-finite weight, on a
+    negative weight, then on a non-finite coordinate.
+    """
     atoms = list(atoms)
     # the atom kind is decided once, by the first atom
     of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
@@ -85,54 +83,33 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     ws = ws.tolist()
     if len(pts) != len(ws):
         raise ValueError(f"{len(pts)} atoms but {len(ws)} weights")
-    if of_measures:
-        return _merged_measures(pts, ws)
-    # exact duplicates add up first; then each distinct point, in order of
+    if of_measures and not all(isinstance(m, FiniteMeasure) for m in pts):
+        raise TypeError("atoms must be all points or all finite measures")
+    if not all(map(isfinite, ws)):
+        raise ValueError("non-finite weight")
+    if ws and min(ws) < 0.0:
+        raise ValueError("negative weight")
+    # exact duplicates add up first; then each distinct atom, in order of
     # first appearance, adds its total to the earliest kept atom it equals
-    index = PointIndex()
-    first: dict[Point, int] = {}
+    index = MeasureIndex() if of_measures else PointIndex()
+    first: dict = {}
     totals: list[float] = []
     slots: list[int] = []
-    find_or_add = index.find_or_add
-    try:
-        for p, wi in zip(pts, ws):
-            if not 0.0 < wi < inf:
-                if wi != 0.0:
-                    _check_weights(ws)
-                # dropped, but still an input that must be a valid point
-                if not is_finite(p):
-                    raise ValueError(f"coordinates must be finite, got {p!r}")
-                continue
-            k = first.setdefault(p, len(totals))
-            if k == len(totals):
-                totals.append(wi)
-                slots.append(find_or_add(p))
-            else:
-                totals[k] += wi
-    except ValueError:
-        # an invalid weight anywhere is reported before an invalid point
-        _check_weights(ws)
-        raise
-    # with no tolerant merge, every total is alone in its slot, in order
-    merged = totals
-    if len(index.points) < len(totals):
-        merged = [0.0] * len(index.points)
-        for i, t in zip(slots, totals):
-            merged[i] += t
-    return index, np.asarray(merged, dtype=float)
-
-
-def _merged_measures(atoms: list, ws: list[float]) -> tuple[MeasureIndex, np.ndarray]:
-    """:func:`_merged_atoms` of measure atoms: each atom of positive weight
-    adds it to the earliest kept measure it equals."""
-    if not all(isinstance(m, FiniteMeasure) for m in atoms):
-        raise TypeError("atoms must be all points or all finite measures")
-    _check_weights(ws)
-    index = MeasureIndex()
-    kept = [(index.find_or_add(m), wi) for m, wi in zip(atoms, ws) if wi != 0.0]
+    for p, wi in zip(pts, ws):
+        if wi == 0.0:
+            # dropped, but still an input that must be a valid point
+            if not (of_measures or is_finite(p)):
+                raise ValueError(f"coordinates must be finite, got {p!r}")
+            continue
+        k = first.setdefault(p, len(totals))
+        if k == len(totals):
+            totals.append(wi)
+            slots.append(index.find_or_add(p))
+        else:
+            totals[k] += wi
     merged = [0.0] * len(index.points)
-    for i, wi in kept:
-        merged[i] += wi
+    for i, t in zip(slots, totals):
+        merged[i] += t
     return index, np.asarray(merged, dtype=float)
 
 
@@ -192,13 +169,15 @@ class SubProbabilityMeasure:
 class FiniteMeasure(SubProbabilityMeasure):
     """Probability measure with finite support of points or of measures.
 
-    Weights must sum to 1 within ``WEIGHT_TOL``; they are renormalized to
-    sum exactly 1 after validation.
+    Weights must sum to 1 within ``mass_tol``, a finite nonnegative number;
+    they are renormalized to sum exactly 1 after validation.
     """
 
     __slots__ = ()
 
     def __init__(self, atoms: Iterable, weights, *, mass_tol: float = WEIGHT_TOL):
+        if not 0.0 <= mass_tol < inf:
+            raise ValueError(f"mass_tol must be a finite nonnegative number, got {mass_tol!r}")
         index, w = _merged_atoms(atoms, weights)
         if len(w) == 0:
             raise ValueError("measure needs at least one atom of positive weight")
@@ -339,14 +318,14 @@ def _matched_atoms(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure):
         yield j
 
 
-def measures_equal(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure, tol: float = WEIGHT_TOL) -> bool:
-    """Structural equality: same atom set, weights within ``tol``."""
+def measures_equal(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure) -> bool:
+    """Structural equality: same atom set, weights within ``WEIGHT_TOL``."""
     if mu is eta:
         return True
     if len(mu) != len(eta):
         return False
     for w, j in zip(mu.weights, _matched_atoms(mu, eta)):
-        if j is None or abs(float(w) - float(eta.weights[j])) > tol:
+        if j is None or abs(float(w) - float(eta.weights[j])) > WEIGHT_TOL:
             return False
     return True
 

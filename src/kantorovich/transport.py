@@ -59,23 +59,12 @@ class Coupling:
     def cost_against(self, cost_matrix: np.ndarray) -> float:
         return float((self.gamma * cost_matrix).sum())
 
-    def check_marginals(self, mu: FiniteMeasure, eta: FiniteMeasure, tol: float = COST_TOL) -> bool:
+    def check_marginals(self, mu: FiniteMeasure, eta: FiniteMeasure) -> bool:
         return (
-            np.abs(self.gamma.sum(axis=1) - mu.weights).max() <= tol
-            and np.abs(self.gamma.sum(axis=0) - eta.weights).max() <= tol
-            and float(self.gamma.min()) >= -tol
+            np.abs(self.gamma.sum(axis=1) - mu.weights).max() <= COST_TOL
+            and np.abs(self.gamma.sum(axis=0) - eta.weights).max() <= COST_TOL
+            and float(self.gamma.min()) >= -COST_TOL
         )
-
-    def to_json(self, cost: float | None = None) -> dict:
-        g = np.where(np.abs(self.gamma) < EMIT_ZERO_BELOW, 0.0, self.gamma)
-        out = {
-            "rows": [atom_to_json(p) for p in self.rows],
-            "cols": [atom_to_json(p) for p in self.cols],
-            "gamma": [[float(v) for v in row] for row in g],
-        }
-        if cost is not None:
-            out["cost"] = float(cost)
-        return out
 
 
 @dataclass(frozen=True)
@@ -87,7 +76,14 @@ class TransportResult:
     solver: str
 
     def to_json(self) -> dict:
-        return self.coupling.to_json(cost=self.cost)
+        c = self.coupling
+        g = np.where(np.abs(c.gamma) < EMIT_ZERO_BELOW, 0.0, c.gamma)
+        return {
+            "rows": [atom_to_json(p) for p in c.rows],
+            "cols": [atom_to_json(p) for p in c.cols],
+            "gamma": [[float(v) for v in row] for row in g],
+            "cost": float(self.cost),
+        }
 
 
 def cost_matrix(space: GroundSpace, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:

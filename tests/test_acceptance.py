@@ -175,7 +175,7 @@ def test_criterion_11_partition_coupling():
                 for lo, hi in zip(edges[:-1], edges[1:])
             ]
             coup = partition_coupling(mu0, mu, cells)
-            assert coup.check_marginals(mu0, mu, tol=COST_TOL)
+            assert coup.check_marginals(mu0, mu)
             blocks = list(cells) + [lambda p, cs=cells: not any(c(p) for c in cs)]
             for cell in blocks:
                 rows = [i for i, p in enumerate(mu0.support) if cell(p)]

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from kantorovich.measures import (
     WEIGHT_TOL,
     FiniteMeasure,
+    SubProbabilityMeasure,
     dirac,
     measure_deviation,
     measure_to_json,
@@ -143,6 +144,28 @@ def test_mixed_atom_kinds_raise_type_error():
             FiniteMeasure(atoms, [1.0, 0.0] if atoms[0] is mu else [0.0, 1.0])
     support, _ = ref_second_order_merge([mu, (1.0,)], [1.0, 0.0])
     assert support == [mu]
+
+
+MU, NU = dirac((0.0,)), FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
+NAN = float("nan")
+
+
+# each case breaks two rules at once (but the last); the earlier rule in
+# _merged_atoms's order of errors is the one reported
+@pytest.mark.parametrize(
+    "atoms, weights, error, message",
+    [
+        ([MU, (1.0,)], [1.0], ValueError, "2 atoms but 1 weights"),
+        ([MU, (1.0,)], [NAN, 1.0], TypeError, "atoms must be all points or all finite measures"),
+        ([MU, NU], [-1.0, NAN], ValueError, "non-finite weight"),
+        ([MU, NU], [0.0, 0.0], ValueError, "measure needs at least one atom of positive weight"),
+    ],
+    ids=["count-and-kinds", "kinds-and-nan", "nan-and-negative", "all-zero"],
+)
+@pytest.mark.parametrize("cls", [FiniteMeasure, SubProbabilityMeasure], ids=lambda c: c.__name__)
+def test_measure_of_measures_reports_the_first_error(cls, atoms, weights, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        cls(atoms, weights)
 
 
 def test_orders_do_not_mix_in_comparisons():

@@ -56,6 +56,17 @@ def test_construction_rejects_bad_weights():
         SubProbabilityMeasure([(0.0,)], [1.5])
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_mass_tol_must_be_finite_and_nonnegative(tol):
+    # a NaN or infinite tolerance accepted any total mass and renormalized it
+    message = f"mass_tol must be a finite nonnegative number, got {tol!r}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FiniteMeasure([(0.0,), (1.0,)], [3.0, 2.0], mass_tol=tol)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        measure_from_json({"atoms": [{"point": 0, "w": 7}]}, mass_tol=tol)
+    assert FiniteMeasure([(0.0,)], [1.0], mass_tol=0.0).weights.tolist() == [1.0]
+
+
 def test_construction_rejects_weights_that_are_not_1d():
     # both ended in a TypeError that named nothing
     with pytest.raises(ValueError, match=r"weights must be a 1-D sequence, got shape \(2, 1\)"):

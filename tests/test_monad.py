@@ -109,7 +109,7 @@ def test_second_order_distance_examples():
 def test_flatten_nonexpanding_and_dirac_equality():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        space = random_space(rng, 7, 2)
+        space = random_space(rng, 7)
         M = random_second_order(rng, space.points)
         N = random_second_order(rng, space.points)
         outer = second_order_distance(space, M, N).cost
