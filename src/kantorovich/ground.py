@@ -270,8 +270,9 @@ class GroundSpace:
     """A finite point set with a bounded (pseudo)metric.
 
     The points must be distinct under :func:`points_equal`, as the atoms
-    of a measure are. Immutable after construction; all evaluation is
-    pure, so instances are safe for concurrent use.
+    of a measure are. Immutable after construction, with no cache: the
+    diameter is computed on each call. All evaluation is pure, so instances
+    are safe for concurrent use.
     """
 
     def __init__(self, points: Iterable, metric: GroundMetric):
@@ -286,14 +287,10 @@ class GroundSpace:
         self._index = _distinct_index(pts, "ground space points must be unique")
         self.points = pts
         self.metric = metric
-        self._diameter: float | None = None
 
     def diameter(self) -> float:
         """Largest pairwise distance; finite because the point list is."""
-        if self._diameter is None:
-            d = self.metric.pairwise(self.points, self.points)
-            self._diameter = float(d.max())
-        return self._diameter
+        return float(self.metric.pairwise(self.points, self.points).max())
 
     def __len__(self):
         return len(self.points)
@@ -361,6 +358,8 @@ def quotient(space: GroundSpace, p: GroundMetric) -> tuple[GroundSpace, Callable
     Returns the quotient space, whose points are class representatives
     (the first member of each class in input order) carrying ``p``, a
     metric on them, together with the projection map onto representatives.
+    The projection finds a point through the space's own index, under point
+    identity: a point maps as the earliest space point it equals.
     ``p`` is first checked against the pseudometric axioms on every pair
     and triple of the space, as :func:`validate_pseudometric` does, on the
     one matrix read here.
@@ -369,24 +368,18 @@ def quotient(space: GroundSpace, p: GroundMetric) -> tuple[GroundSpace, Callable
     d = p.pairwise(pts, pts)
     _validate_matrix_axioms(d, pts)
     reps: list[int] = []
-    mapping: dict[Point, Point] = {}
-    for i, (pt, row) in enumerate(zip(pts, d.tolist())):
+    rep_of: list[int] = []
+    for i, row in enumerate(d.tolist()):
         r = next((r for r in reps if row[r] <= GEOMETRY_TOL), i)
         if r == i:
             reps.append(i)
-        mapping[pt] = pts[r]
+        rep_of.append(r)
 
     def projection(x) -> Point:
-        q = as_point(x)
-        hit = mapping.get(q)
-        if hit is not None:
-            return hit
-        # the earliest point equal to q is also the first of its exact value,
-        # so it is a key of mapping
-        i = space._index.find(q)
+        i = space._index.find(as_point(x))
         if i is None:
             raise ValueError(f"point {x!r} does not belong to the quotient domain")
-        return mapping[pts[i]]
+        return pts[rep_of[i]]
 
     return GroundSpace([pts[r] for r in reps], p), projection
 

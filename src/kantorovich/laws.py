@@ -188,10 +188,10 @@ def _diameter_deviation(rng, metric: GroundMetric, distance: Callable) -> tuple[
     eta)`` of two random measures exceeds the diameter, or a diameter pair
     of Diracs misses it, whichever is worse."""
     space = random_space(rng, 8, metric)
-    diam = space.diameter()
+    d = metric.pairwise(space.points, space.points)
+    diam = float(d.max())
     mu, eta = random_measure(rng, space.points), random_measure(rng, space.points)
     above = distance(space, mu, eta) - diam
-    d = metric.pairwise(space.points, space.points)
     i, j = np.unravel_index(int(d.argmax()), d.shape)
     attained = distance(space, dirac(space.points[i]), dirac(space.points[j]))
     return (worst((above, abs(attained - diam))),)

@@ -211,19 +211,17 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
     """Convex combination of measures of any order; duplicate atoms merge.
 
     ``parts`` pairs each measure with a nonnegative weight; the weights
-    must sum to 1 within ``WEIGHT_TOL``.
+    must sum to 1 within ``WEIGHT_TOL``. Zero-weight parts are skipped and
+    :class:`FiniteMeasure` checks the scaled atom weights, so a bad part
+    weight raises its ``non-finite weight``, ``negative weight`` or
+    ``weights sum to ..., expected 1``.
     """
     if not parts:
         raise ValueError("mix needs at least one part")
-    ts = [float(t) for t, _ in parts]
-    if any(t < 0.0 for t in ts):
-        raise ValueError("negative mixture weight")
-    total = sum(ts)
-    if abs(total - 1.0) > WEIGHT_TOL:
-        raise ValueError(f"mixture weights sum to {total:.12g}, expected 1")
     atoms: list = []
     weights: list[float] = []
-    for t, (_, mu) in zip(ts, parts):
+    for t, mu in parts:
+        t = float(t)
         if t == 0.0:
             continue
         atoms.extend(mu.support)
@@ -354,6 +352,9 @@ def _load_measure(obj, key: str, mass_tol: float) -> FiniteMeasure:
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise ValueError("measure JSON needs a nonempty 'atoms' list")
+    # checked before the atoms, whose inner loads would name an atom
+    if not 0.0 <= mass_tol < inf:
+        raise ValueError(f"mass_tol must be a finite nonnegative number, got {mass_tol!r}")
     load = as_point if key == "point" else partial(measure_from_json, mass_tol=mass_tol)
     xs, ws = [], []
     for i, entry in enumerate(atoms):

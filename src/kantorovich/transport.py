@@ -442,7 +442,7 @@ def lipschitz_gap(
     """
     if not 0.0 <= L < inf:
         raise ValueError(f"L must be finite and nonnegative, got {L!r}")
-    pts = list(mu.support) + [p for p in eta.support if mu.index_of(p) is None]
+    pts = distinct_points([*mu.support, *eta.support])
     fx = np.array([float(f(p)) for p in pts])
     bad = np.abs(fx[:, None] - fx[None, :]) > L * space.metric.pairwise(pts, pts) + 1e-12
     # row-major over i < j: the order of itertools.combinations(pts, 2)

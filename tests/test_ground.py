@@ -230,6 +230,8 @@ def test_quotient_first_coordinate():
     assert q.points == ((0.0, 1.0), (1.0, 0.0))
     assert q.metric(q.points[0], q.points[1]) == pytest.approx(1.0, abs=GEOM_TOL)
     assert proj((0, 2)) == (0.0, 1.0)
+    # a point within tolerance of (0, 2), but not equal to it, maps as it does
+    assert proj((0, 2 + 5e-13)) == (0.0, 1.0)
     # quotient metric is a genuine metric: distinct classes at positive distance
     for i, a in enumerate(q.points):
         for j, b in enumerate(q.points):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from kantorovich.measures import (
     mix,
     pushforward,
     restrict,
+    second_order_from_json,
     tensor,
 )
 
@@ -64,6 +67,10 @@ def test_mass_tol_must_be_finite_and_nonnegative(tol):
         FiniteMeasure([(0.0,), (1.0,)], [3.0, 2.0], mass_tol=tol)
     with pytest.raises(ValueError, match=f"^{message}$"):
         measure_from_json({"atoms": [{"point": 0, "w": 7}]}, mass_tol=tol)
+    # checked before the inner loads, which would report it as atom 0's error
+    second = {"atoms": [{"measure": {"atoms": [{"point": 0, "w": 1}]}, "w": 1}]}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        second_order_from_json(second, mass_tol=tol)
     assert FiniteMeasure([(0.0,)], [1.0], mass_tol=0.0).weights.tolist() == [1.0]
 
 
@@ -153,6 +160,28 @@ def test_mix_validation():
         mix([(0.4, mu)])
     with pytest.raises(ValueError, match="negative"):
         mix([(1.5, mu), (-0.5, mu)])
+
+
+@pytest.mark.parametrize(
+    "ts, message",
+    [
+        ([1.5, -0.5], "negative weight"),
+        ([0.5, 0.5 + 1e-6], "weights sum to 1.000001, expected 1"),
+        ([0.5, float("nan")], "non-finite weight"),
+        ([0.5, float("inf")], "non-finite weight"),
+    ],
+    ids=["negative", "off-by-1e-6", "nan", "inf"],
+)
+def test_mix_raises_what_the_constructor_raises(ts, message):
+    # mix leaves its part weights to FiniteMeasure, which sees the
+    # concatenated atoms with their scaled weights
+    parts = [(ts[0], FiniteMeasure([(0.0,), (1.0,)], [0.25, 0.75])), (ts[1], dirac((2.0,)))]
+    atoms = [a for _, mu in parts for a in mu.support]
+    weights = [t * w for t, mu in parts for w in mu.weights.tolist()]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FiniteMeasure(atoms, weights)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mix(parts)
 
 
 @settings(max_examples=60)
