@@ -88,7 +88,7 @@ def second_order_distance(
     for i, m in enumerate(M.support):
         for j, nmeas in enumerate(N.support):
             D[i, j] = kantorovich(space, m, nmeas).cost
-    cost, gamma = solve_transport(D, M.weights, N.weights)
+    cost, gamma, _, _ = solve_transport(D, M.weights, N.weights)
     return TransportResult(cost, Coupling(M.support, N.support, gamma), "network-simplex")
 
 

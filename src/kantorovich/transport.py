@@ -5,9 +5,11 @@ The distance is the minimum of ``sum γ_ij d(x_i, y_j)`` over all couplings
 is a transportation polytope, so the infimum is attained at a vertex, whose
 basis is a spanning tree of K_{m,n}. An exact network simplex walks such
 trees from a northwest-corner start, the rule that also routes the
-off-diagonal mass of :func:`partition_coupling`. Two brute-force oracles,
-permutation enumeration and vertex enumeration over all spanning trees,
-are provided for cross-checking.
+off-diagonal mass of :func:`partition_coupling`. :func:`kantorovich`
+leaves the mass both measures put on an atom in place, solves the rest,
+and certifies the assembled plan with dual potentials. Two brute-force
+oracles, permutation enumeration and vertex enumeration over all spanning
+trees, are provided for cross-checking.
 
 Solver state is confined to each invocation; concurrent calls on shared
 immutable inputs are safe.
@@ -29,6 +31,11 @@ from .points import Point, distinct_points
 
 #: Absolute tolerance on costs and marginal sums.
 COST_TOL = 1e-9
+
+#: Pricing threshold relative to ``max(1, max |c|)``: the simplex stops when
+#: no reduced cost is below its negative, and a plan certified by dual
+#: potentials may cost at most this much more than their dual value.
+REDUCED_COST_TOL = 1e-11
 
 #: Coupling entries below this are serialized as exact zeros.
 EMIT_ZERO_BELOW = 1e-15
@@ -160,16 +167,23 @@ def _first_eligible_mask(C: np.ndarray, u: np.ndarray, v: np.ndarray, below: flo
     return divmod(k, C.shape[1]) if eligible[k] else None
 
 
-def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+def solve_transport(
+    C: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-cost transportation plan between weight vectors.
 
     Runs the primal network simplex on the bipartite graph with a
     northwest-corner start. Bland's rule (smallest row-major arc index)
     picks both the entering arc and the leaving arc among ties, which
-    rules out cycling under degeneracy. Returns ``(cost, gamma)``.
+    rules out cycling under degeneracy. Returns ``(cost, gamma, u, v)``,
+    where ``u`` and ``v`` are the row and column potentials of the final
+    basis tree: ``u[0] = 0`` and ``u_i + v_j = c_ij`` on its arcs, no
+    reduced cost ``c_ij - u_i - v_j`` is below minus the pricing
+    threshold, and ``a·u + b·v`` is the plan's cost up to rounding.
 
     Pricing finds the first arc in row-major order whose reduced cost
-    ``(c_ij - u_i) - v_j`` is below ``-1e-11 * max(1, max |c|)``. Problems
+    ``(c_ij - u_i) - v_j`` is below the threshold
+    ``-REDUCED_COST_TOL * max(1, max |c|)``. Problems
     of at most ``SCAN_PRICING_CELLS`` cells scan the rows of the cost
     matrix as Python floats and stop at that arc; larger ones take it as
     the first hit of one numpy mask over the whole matrix. Both evaluate
@@ -206,12 +220,14 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float,
         raise ValueError("weight vectors must carry equal total mass")
 
     basis = _northwest_basis(ra, rb)
-    rc_tol = 1e-11 * max(1.0, c_max)
+    rc_tol = REDUCED_COST_TOL * max(1.0, c_max)
     scan = m * n <= SCAN_PRICING_CELLS
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
         if m == 1 or n == 1:
-            # the basis holds every arc: nothing to price
+            # the basis holds every arc: nothing to price, and the
+            # potentials follow from the costs
+            u, v = C[:, 0] - C[0, 0], C[0].copy()
             break
         u, v, parent, depth = _tree_duals(basis, C, m, n)
         if scan:
@@ -252,7 +268,7 @@ def solve_transport(C: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float,
     gamma = np.zeros((m, n))
     for (i, j), f in basis.items():
         gamma[i, j] = max(f, 0.0)
-    return float((gamma * C).sum()), gamma
+    return float((gamma * C).sum()), gamma, u, v
 
 
 def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> TransportResult:
@@ -262,10 +278,60 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
     product coupling is feasible) and compact; the returned coupling
     attains it. Cost is recomputed from the coupling, so the reported
     value and the plan always agree.
+
+    Mass that both measures put on one atom stays in place: for a
+    pseudometric the distance depends only on ``mu - eta``, so the shared
+    mass ``min(mu(x), eta(x))`` of an atom ``x`` in both supports (equal
+    points, compared exactly) costs nothing, and the simplex solves only
+    the rows and columns left with mass. The assembled plan is then
+    certified in O(mn): the residual solve's column potentials extend to
+    dual potentials of the whole problem with no negative reduced cost,
+    and the plan is kept when its cost exceeds their dual value by at most
+    the solver's pricing threshold. A ground cost that breaks the
+    triangle inequality can fail the certificate; then, and when no side
+    or only one is left with mass to move (equal measures, or rounding),
+    the whole problem is solved with no atom held in place.
     """
     C = cost_matrix(space, mu.support, eta.support)
-    cost, gamma = solve_transport(C, mu.weights, eta.weights)
+    gamma = _plan_around_shared_mass(C, mu, eta)
+    if gamma is None:
+        gamma = solve_transport(C, mu.weights, eta.weights)[1]
+    cost = float((gamma * C).sum())
     return TransportResult(cost, Coupling(mu.support, eta.support, gamma), "network-simplex")
+
+
+def _plan_around_shared_mass(
+    C: np.ndarray, mu: FiniteMeasure, eta: FiniteMeasure
+) -> Optional[np.ndarray]:
+    """A certified optimal plan that keeps each shared atom's common mass
+    on its diagonal cell and solves the rest, or ``None`` when the supports
+    share no atom, when no side or only one is left with mass to move, or
+    when the certificate fails."""
+    col_of = {y: j for j, y in enumerate(eta.support)}
+    shared = [(i, col_of[x]) for i, x in enumerate(mu.support) if x in col_of]
+    if not shared:
+        return None
+    i, j = np.array(shared).T
+    a, b = mu.weights.copy(), eta.weights.copy()
+    kept = np.minimum(a[i], b[j])
+    a[i] -= kept
+    b[j] -= kept
+    R, S = (a > 0.0).nonzero()[0], (b > 0.0).nonzero()[0]
+    if not len(R) or not len(S):
+        return None
+    # the rows R by the columns S, as np.ix_(R, S) would index them
+    cut = R[:, None], S
+    _, residual, _, v_S = solve_transport(C[cut], a[R], b[S])
+    gamma = np.zeros(C.shape)
+    gamma[i, j] = kept
+    gamma[cut] = residual
+    # dual potentials of the whole problem with no negative reduced cost
+    u = (C[:, S] - v_S).min(axis=1)
+    v = (C - u[:, None]).min(axis=0)
+    gap = float((gamma * C).sum()) - float(mu.weights @ u + eta.weights @ v)
+    if gap > REDUCED_COST_TOL * max(1.0, float(np.abs(C).max())):
+        return None
+    return gamma
 
 
 def independent_coupling(mu: FiniteMeasure, eta: FiniteMeasure) -> Coupling:

@@ -2,29 +2,36 @@
 oracles' reach: tied weights, overlapping supports and integer grids, the
 degenerate regime of the pivot rule."""
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import discrete_distance, line_distance
+from oracles import discrete_distance, line_distance, tree_distance
 
-from kantorovich.ground import Discrete, Euclidean, GroundSpace, Manhattan
+from kantorovich.ground import Discrete, Euclidean, GroundSpace, Manhattan, TableMetric
 from kantorovich.measures import FiniteMeasure
 from kantorovich.transport import kantorovich
 
 MAX_ATOMS = 40
+MAX_TREE_NODES = 30
 
 
 @st.composite
-def grid_measure(draw, pool: int, step: float):
-    """A measure on points of the grid ``step * range(pool)``, with uniform
-    weights or integer weights over their sum."""
-    k = draw(st.integers(1, min(pool, MAX_ATOMS)))
-    idx = draw(st.permutations(range(pool)))[:k]
+def measure_on(draw, points):
+    """A measure on some of ``points``, with uniform weights or integer
+    weights over their sum."""
+    k = draw(st.integers(1, min(len(points), MAX_ATOMS)))
+    idx = draw(st.permutations(range(len(points))))[:k]
     if draw(st.booleans()):
         ws = [1.0 / k] * k
     else:
         ints = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
         ws = [w / sum(ints) for w in ints]
-    return FiniteMeasure([(step * i,) for i in idx], ws)
+    return FiniteMeasure([points[i] for i in idx], ws)
+
+
+def grid_measure(pool: int, step: float):
+    """A measure on points of the grid ``step * range(pool)``."""
+    return measure_on([(step * i,) for i in range(pool)])
 
 
 @st.composite
@@ -63,3 +70,53 @@ def test_discrete_metric_distance_is_the_total_variation(pair):
 def test_line_distance_is_the_area_between_distribution_functions(pair, metric):
     mu, eta = pair
     assert abs(_distance(metric, mu, eta) - line_distance(mu, eta)) <= 1e-9
+
+
+@st.composite
+def trees(draw):
+    """``(nodes, parent, length)`` of a random tree of at most
+    ``MAX_TREE_NODES`` labelled nodes, with tied edge lengths; node ``k > 0``
+    hangs from an earlier node."""
+    size = draw(st.integers(1, MAX_TREE_NODES))
+    parent = [-1] + [draw(st.integers(0, k - 1)) for k in range(1, size)]
+    length = [0.0] + [draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for _ in range(1, size)]
+    return [f"n{k}" for k in range(size)], parent, length
+
+
+@st.composite
+def tree_cases(draw):
+    """A tree and two measures on its nodes, which overlap often."""
+    nodes, parent, length = draw(trees())
+    return nodes, parent, length, draw(measure_on(nodes)), draw(measure_on(nodes))
+
+
+def _path_table(parent, length) -> np.ndarray:
+    """Path lengths between all pairs of nodes: node ``k`` reaches every
+    earlier node through its parent."""
+    size = len(parent)
+    d = np.zeros((size, size))
+    for k in range(1, size):
+        d[k, :k] = d[:k, k] = d[parent[k], :k] + length[k]
+    return d
+
+
+def _path_chain(size):
+    # a path of tied unit edges with uniform measures on two overlapping halves
+    nodes = [f"n{k}" for k in range(size)]
+    half = size // 2
+    return (
+        nodes,
+        [-1, *range(size - 1)],
+        [0.0] + [1.0] * (size - 1),
+        FiniteMeasure(nodes[: half + 5], [1.0 / (half + 5)] * (half + 5)),
+        FiniteMeasure(nodes[half - 5 :], [1.0 / (size - half + 5)] * (size - half + 5)),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(tree_cases())
+@example(_path_chain(MAX_TREE_NODES))
+def test_tree_metric_distance_is_the_weighted_subtree_imbalance(case):
+    nodes, parent, length, mu, eta = case
+    metric = TableMetric(nodes, _path_table(parent, length))
+    assert abs(_distance(metric, mu, eta) - tree_distance(nodes, parent, length, mu, eta)) <= 1e-9

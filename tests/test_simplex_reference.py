@@ -6,7 +6,9 @@ cycle). The potentials along a tree path and the cycle of an entering arc
 do not depend on how the tree is traversed, so the current solver must
 return the same cost and the same ``gamma`` bytes on every instance, after
 as many pricing rounds. Pivot counts are the exact regression signal of the
-solver, so their totals are pinned as well.
+solver, so their totals are pinned as well. On the same instances, and on
+one-row and one-column ones, the potentials the solver returns must
+certify its plan.
 """
 
 from collections import deque
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from kantorovich import transport
-from kantorovich.transport import _northwest_basis, solve_transport
+from kantorovich.transport import COST_TOL, REDUCED_COST_TOL, _northwest_basis, solve_transport
 
 
 def _reference_tree_duals(arcs, C, m, n):
@@ -120,7 +122,7 @@ def assert_same_as_reference(C, a, b):
 
     transport._tree_duals = counted
     try:
-        cost, gamma = solve_transport(C, a, b)
+        cost, gamma, _, _ = solve_transport(C, a, b)
     finally:
         transport._tree_duals = tree_duals
     ref_cost, ref_gamma, rounds = reference_solve(C, a, b)
@@ -130,9 +132,8 @@ def assert_same_as_reference(C, a, b):
     return rounds
 
 
-def test_small_random_and_tied_instances_match_the_reference():
+def _small_instances():
     rng = np.random.default_rng(2024)
-    rounds = 0
     for k in range(3000):
         m, n = (int(x) for x in rng.integers(1, 7, 2))
         if k % 2:
@@ -146,25 +147,55 @@ def test_small_random_and_tied_instances_match_the_reference():
             a, b = a / a.sum(), b / b.sum()
         if abs(a.sum() - b.sum()) > 1e-9:
             continue
-        rounds += assert_same_as_reference(C, a, b)
-    # pinned: a change to the pivot sequence must be recorded here
-    assert rounds == 14214
+        yield C, a, b
 
 
-def test_degenerate_grid_instances_match_the_reference():
+def _grid_instances():
     # uniform weights on distinct points of a 16x16 integer grid under
     # Manhattan: tied costs and zero-step pivots
     rng = np.random.default_rng(16)
     grid = np.array([(i, j) for i in range(16) for j in range(16)], dtype=float)
-    rounds = []
     for n in (16, 24, 32):
         x = grid[rng.choice(len(grid), n, replace=False)]
         y = grid[rng.choice(len(grid), n, replace=False)]
         C = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=2)
         w = np.full(n, 1.0 / n)
-        rounds.append(assert_same_as_reference(C, w, w))
+        yield C, w, w
+
+
+def test_small_random_and_tied_instances_match_the_reference():
+    rounds = sum(assert_same_as_reference(C, a, b) for C, a, b in _small_instances())
+    # pinned: a change to the pivot sequence must be recorded here
+    assert rounds == 14214
+
+
+def test_degenerate_grid_instances_match_the_reference():
+    rounds = [assert_same_as_reference(C, a, b) for C, a, b in _grid_instances()]
     # pinned: a change to the pivot sequence must be recorded here
     assert rounds == [180, 656, 907]
+
+
+def _thin_instances():
+    rng = np.random.default_rng(3)
+    for k in range(1, 41):
+        C = rng.random((1, k)) * 10.0
+        w = rng.random(k) + 0.1
+        yield C, np.array([1.0]), w / w.sum()
+        yield C.T, w / w.sum(), np.array([1.0])
+
+
+def test_potentials_certify_the_returned_plan():
+    # u_i + v_j <= c_ij + rc_tol everywhere, with equality on every cell that
+    # carries flow, and no duality gap: the returned plan is optimal
+    instances = [*_small_instances(), *_grid_instances(), *_thin_instances()]
+    for C, a, b in instances:
+        cost, gamma, u, v = solve_transport(C, a, b)
+        rc_tol = REDUCED_COST_TOL * max(1.0, float(np.abs(C).max()))
+        reduced = C - u[:, None] - v[None, :]
+        assert reduced.min() >= -rc_tol
+        assert np.abs(reduced[gamma > 0]).max() <= rc_tol
+        assert abs(cost - (a @ u + b @ v)) <= COST_TOL
+        assert u[0] == 0.0
 
 
 def _pricing_instances():

@@ -1,10 +1,18 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from kantorovich import transport
-from kantorovich.ground import Discrete, Euclidean, GroundSpace, Manhattan
+from kantorovich import run_law_suite, transport
+from kantorovich.ground import (
+    Discrete,
+    Euclidean,
+    GroundMetric,
+    GroundSpace,
+    Manhattan,
+    PullbackMetric,
+)
 from kantorovich.measures import FiniteMeasure, PartitionError, cell_of, dirac, measures_equal
 from kantorovich.transport import (
     brute_force_distance,
@@ -348,7 +356,7 @@ def test_simplex_matches_highs():
                 C = rng.random((m, n))
                 a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
                 a, b = a / a.sum(), b / b.sum()
-            cost, gamma = solve_transport(C, a, b)
+            cost = solve_transport(C, a, b)[0]
             assert abs(cost - _highs_cost(linprog, C, a, b)) <= COST_TOL, (m, n, tied)
     # tied integer costs with uniform weights: the most degenerate pivots
     C = rng.integers(0, 4, (60, 60)).astype(float)
@@ -446,7 +454,7 @@ def test_one_row_or_column_returns_the_product_coupling_without_pricing(monkeypa
             w = w / w.sum()
             one = np.array([1.0])
             for C, a, b in ((rng.random((1, k)), one, w), (rng.random((k, 1)), w, one)):
-                cost, gamma = solve_transport(C, a, b)
+                cost, gamma, _, _ = solve_transport(C, a, b)
                 product = np.outer(a, b)
                 if trial == 0:
                     assert gamma.tobytes() == product.tobytes()
@@ -559,3 +567,90 @@ def test_solve_transport_rejects_weights_that_are_not_1d():
         solve_transport(np.zeros((2, 2)), [[0.5], [0.5]], [0.5, 0.5])
     with pytest.raises(ValueError, match=r"weight vectors must be 1-D, got shapes \(\) and \(1,\)"):
         solve_transport(np.zeros((1, 1)), 1.0, [1.0])
+
+
+class _BrokenTriangle(GroundMetric):
+    """d(a, b) = d(b, c) = 1 and d(a, c) = 5: the detour through b is
+    shorter than the direct route, so this is not a pseudometric."""
+
+    kind = "broken-triangle"
+    _d = {frozenset("ab"): 1.0, frozenset("bc"): 1.0, frozenset("ac"): 5.0}
+
+    def _raw(self, x, y):
+        return 0.0 if x == y else self._d[frozenset((x, y))]
+
+
+def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
+    solves = []
+    solve = transport.solve_transport
+
+    def recorded(C, a, b):
+        out = solve(C, a, b)
+        solves.append((C.shape, out[0]))
+        return out
+
+    monkeypatch.setattr(transport, "solve_transport", recorded)
+    space = GroundSpace(["a", "b", "c"], _BrokenTriangle())
+    mu = FiniteMeasure(["a", "b"], [0.5, 0.5])
+    eta = FiniteMeasure(["b", "c"], [0.5, 0.5])
+    r = kantorovich(space, mu, eta)
+    # the half on b stays, and the residual sends a to c at 5: a plan of 2.5
+    # whose certificate fails, so the whole problem is solved again
+    assert solves == [((1, 1), 2.5), ((2, 2), 1.0)]
+    assert r.cost == 1.0
+    assert (r.coupling.rows, r.coupling.cols) == (("a", "b"), ("b", "c"))
+    assert r.coupling.gamma.tolist() == [[0.5, 0.0], [0.0, 0.5]]  # a to b, b to c
+
+
+def _grid_pair(rng, n):
+    # distinct points of a 16x16 integer grid with uniform weights, as in
+    # the benchmark's degenerate workload; the supports often overlap
+    grid = [(float(i), float(j)) for i in range(16) for j in range(16)]
+    x, y = ([grid[k] for k in rng.choice(len(grid), n, replace=False)] for _ in range(2))
+    w = np.full(n, 1.0 / n)
+    return FiniteMeasure(x, w), FiniteMeasure(y, w)
+
+
+def _count_solves(monkeypatch):
+    """Per ``kantorovich`` call, the shape of the cost matrix and the shapes
+    of the ``solve_transport`` calls it made, in call order."""
+    calls = []
+    solve, kant = transport.solve_transport, transport.kantorovich
+
+    def counted_solve(C, a, b):
+        calls[-1][1].append(C.shape)
+        return solve(C, a, b)
+
+    def counted_kantorovich(space, mu, eta):
+        calls.append(((len(mu), len(eta)), []))
+        return kant(space, mu, eta)
+
+    monkeypatch.setattr(transport, "solve_transport", counted_solve)
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "kantorovich" and mod.__dict__.get("kantorovich") is kant:
+            monkeypatch.setattr(mod, "kantorovich", counted_kantorovich)
+    return calls
+
+
+def test_built_in_metrics_never_fall_back_and_match_the_full_solve(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    rng = np.random.default_rng(5)
+    metrics = [
+        Manhattan(),
+        Euclidean(),
+        Manhattan(cap=3.0),
+        Discrete(),
+        PullbackMetric(lambda p: p[:1], Euclidean()),
+    ]
+    for n in (16, 24, 32):
+        for metric in metrics:
+            mu, eta = _grid_pair(rng, n)
+            space = GroundSpace(list(dict.fromkeys([*mu.support, *eta.support])), metric)
+            got = transport.kantorovich(space, mu, eta)
+            C = cost_matrix(space, mu.support, eta.support)
+            assert abs(got.cost - solve_transport(C, mu.weights, eta.weights)[0]) <= 1e-12
+            assert got.coupling.check_marginals(mu, eta)
+    run_law_suite(42, 20)
+    # one solve per call, and some of them on a cut-out of the cost matrix
+    assert all(len(solves) == 1 for _, solves in calls)
+    assert sum(solves[0] != shape for shape, solves in calls) > len(calls) // 4
