@@ -288,9 +288,10 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
     dual potentials of the whole problem with no negative reduced cost,
     and the plan is kept when its cost exceeds their dual value by at most
     the solver's pricing threshold. A ground cost that breaks the
-    triangle inequality can fail the certificate; then, and when no side
-    or only one is left with mass to move (equal measures, or rounding),
-    the whole problem is solved with no atom held in place.
+    triangle inequality can fail the certificate; then, when a cost is not
+    finite, and when no side or only one is left with mass to move (equal
+    measures, or rounding), the whole problem is solved with no atom held
+    in place, and a non-finite cost raises as it would there.
     """
     C = cost_matrix(space, mu.support, eta.support)
     gamma = _plan_around_shared_mass(C, mu, eta)
@@ -305,12 +306,12 @@ def _plan_around_shared_mass(
 ) -> Optional[np.ndarray]:
     """A certified optimal plan that keeps each shared atom's common mass
     on its diagonal cell and solves the rest, or ``None`` when the supports
-    share no atom, when no side or only one is left with mass to move, or
-    when the certificate fails."""
+    share no atom, when a cost is not finite, when no side or only one is
+    left with mass to move, or when the certificate fails."""
     col_of = {y: j for j, y in enumerate(eta.support)}
     shared = [(i, col_of[x]) for i, x in enumerate(mu.support) if x in col_of]
-    if not shared:
-        return None
+    if not shared or not np.isfinite(C).all():
+        return None  # the full solve reports a non-finite cost
     i, j = np.array(shared).T
     a, b = mu.weights.copy(), eta.weights.copy()
     kept = np.minimum(a[i], b[j])
@@ -329,7 +330,7 @@ def _plan_around_shared_mass(
     u = (C[:, S] - v_S).min(axis=1)
     v = (C - u[:, None]).min(axis=0)
     gap = float((gamma * C).sum()) - float(mu.weights @ u + eta.weights @ v)
-    if gap > REDUCED_COST_TOL * max(1.0, float(np.abs(C).max())):
+    if not gap <= REDUCED_COST_TOL * max(1.0, float(np.abs(C).max())):
         return None
     return gamma
 

@@ -602,6 +602,25 @@ def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
     assert r.coupling.gamma.tolist() == [[0.5, 0.0], [0.0, 0.5]]  # a to b, b to c
 
 
+class _FarDetour(_BrokenTriangle):
+    """``_BrokenTriangle`` with d(b, c) set to a non-finite value."""
+
+    def __init__(self, far):
+        super().__init__()
+        self._d = {**self._d, frozenset("bc"): far}
+
+
+@pytest.mark.parametrize("far", [float("inf"), float("nan")])
+def test_a_non_finite_cost_outside_the_residual_cut_still_raises(far):
+    # b is shared, so only a -> c is left to solve, a finite 1x1 cut; the
+    # cost of b -> c lies outside it and must still be rejected
+    space = GroundSpace(["a", "b", "c"], _FarDetour(far))
+    mu = FiniteMeasure(["a", "b"], [0.5, 0.5])
+    eta = FiniteMeasure(["b", "c"], [0.5, 0.5])
+    with pytest.raises(ValueError, match="costs must be finite"):
+        kantorovich(space, mu, eta)
+
+
 def _grid_pair(rng, n):
     # distinct points of a 16x16 integer grid with uniform weights, as in
     # the benchmark's degenerate workload; the supports often overlap
