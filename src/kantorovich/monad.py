@@ -20,7 +20,7 @@ import numpy as np
 from .ground import GroundMetric, GroundSpace, quotient
 from .measures import FiniteMeasure, WEIGHT_TOL, mix, pushforward
 from .points import Point, as_point, coordinates
-from .transport import Coupling, TransportResult, kantorovich, solve_transport
+from .transport import Coupling, TransportResult, _solver_name, kantorovich, solve_transport
 
 
 def flatten(M: FiniteMeasure) -> FiniteMeasure:
@@ -89,7 +89,7 @@ def second_order_distance(
         for j, nmeas in enumerate(N.support):
             D[i, j] = kantorovich(space, m, nmeas).cost
     cost, gamma, _, _ = solve_transport(D, M.weights, N.weights)
-    return TransportResult(cost, Coupling(M.support, N.support, gamma), "network-simplex")
+    return TransportResult(cost, Coupling(M.support, N.support, gamma), _solver_name(D.shape))
 
 
 def lifted_pseudometric(

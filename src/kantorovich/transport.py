@@ -3,11 +3,14 @@
 The distance is the minimum of ``sum γ_ij d(x_i, y_j)`` over all couplings
 γ with the two measures as marginals. For finite supports the feasible set
 is a transportation polytope, so the infimum is attained at a vertex, whose
-basis is a spanning tree of K_{m,n}. An exact network simplex walks such
-trees from a northwest-corner start, the rule that also routes the
-off-diagonal mass of :func:`partition_coupling`. :func:`kantorovich`
-leaves the mass both measures put on an atom in place, solves the rest,
-and certifies the assembled plan with dual potentials. Two brute-force
+basis is a spanning tree of K_{m,n}. A problem with a side of at most two
+atoms is solved in closed form: one atom ships everything, and two rows
+are a continuous knapsack, filled greedily. Larger problems take an
+exact network simplex that walks spanning trees from a northwest-corner
+start, the rule that also routes the off-diagonal mass of
+:func:`partition_coupling`. :func:`kantorovich` leaves the mass both
+measures put on an atom in place, solves the rest, and certifies the
+assembled plan with dual potentials. Two brute-force
 oracles, permutation enumeration and vertex enumeration over all spanning
 trees, are provided for cross-checking.
 
@@ -51,7 +54,8 @@ MAX_PERMUTATION_ATOMS = 8
 #: rounds of random Euclidean solves (2-vCPU x86-64, Python 3.11, numpy
 #: 2.4), the scan took 3.5 against 7.0 us at 3x3, 4.7 against 6.9 at 5x5,
 #: 6.7 against 7.3 at 7x7, 7.4 against 7.2 at 8x8, and 11.3 against 7.6 at
-#: 12x12. Tall problems favour the mask earlier (32x2: 13.9 against 7.9).
+#: 12x12. Problems with a side of at most two atoms take the closed form
+#: and are never priced.
 SCAN_PRICING_CELLS = 64
 
 
@@ -167,19 +171,84 @@ def _first_eligible_mask(C: np.ndarray, u: np.ndarray, v: np.ndarray, below: flo
     return divmod(k, C.shape[1]) if eligible[k] else None
 
 
+def _fill_first_row(c0: list, c1: list, a0: float, b: list):
+    """Optimal plan and potentials of a two-row problem with row costs
+    ``c0`` and ``c1``, first-row mass ``a0`` and column masses ``b``.
+
+    Moving a unit of column j's mass from row 1 to row 0 changes the cost
+    by c0_j - c1_j, so the problem is a continuous knapsack (Dantzig,
+    1957): row 0 fills the columns in the order of (c0_j - c1_j, j) until
+    its mass runs out at a split column k, and row 1 takes the rest.
+    Returns ``(g0, g1, u1, v)``, the two rows of the plan, the second row's
+    potential and the column potentials, with u = (0, c1_k - c0_k),
+    v_j = c0_j up to and including k and v_j = c1_j - u1 after it: the
+    reduced costs are differences of the sorted keys, so none is negative.
+    """
+    order = sorted(range(len(b)), key=lambda j: c0[j] - c1[j])
+    g0, g1 = [0.0] * len(b), list(b)
+    rest = a0
+    for filled, k in enumerate(order, 1):
+        g0[k] = x = min(rest, b[k])
+        g1[k] = b[k] - x
+        rest -= x
+        if rest == 0.0:
+            break
+    u1 = c1[k] - c0[k]
+    v = [c - u1 for c in c1]
+    for j in order[:filled]:
+        v[j] = c0[j]
+    return g0, g1, u1, v
+
+
+def _narrow_plan(C: np.ndarray, rows: list, ra: list, rb: list):
+    """``(gamma, u, v)`` of a problem with a side of at most two atoms,
+    without pivots; ``rows`` is ``C.tolist()``."""
+    m, n = C.shape
+    if m == 1 or n == 1:
+        # every arc is basic: the northwest start is the plan, and the
+        # potentials follow from the costs
+        flows = list(_northwest_basis(ra, rb).values())
+        return np.array(flows).reshape(m, n), C[:, 0] - C[0, 0], C[0].copy()
+    if m == 2:
+        g0, g1, u1, v = _fill_first_row(rows[0], rows[1], ra[0], rb)
+        return np.array([g0, g1]), np.array([0.0, u1]), np.array(v)
+    # two columns: solve the transpose, then shift the potentials so that
+    # u[0] = 0
+    g0, g1, v1, u = _fill_first_row([r[0] for r in rows], [r[1] for r in rows], rb[0], ra)
+    u0 = u[0]
+    return np.array([g0, g1]).T.copy(), np.array(u) - u0, np.array([u0, v1 + u0])
+
+
+def _solver_name(shape: tuple[int, int]) -> str:
+    """How :func:`solve_transport` solves a problem of this shape."""
+    return "closed-form" if min(shape) <= 2 else "network-simplex"
+
+
 def solve_transport(
     C: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Exact minimum-cost transportation plan between weight vectors.
 
-    Runs the primal network simplex on the bipartite graph with a
-    northwest-corner start. Bland's rule (smallest row-major arc index)
+    Returns ``(cost, gamma, u, v)``, where ``u`` and ``v`` are row and
+    column potentials that certify the plan: ``u[0] = 0``, ``u_i + v_j =
+    c_ij`` on every cell that carries flow, no reduced cost ``c_ij - u_i -
+    v_j`` is below minus the pricing threshold, and ``a·u + b·v`` is the
+    plan's cost up to rounding.
+
+    A problem with a side of at most two atoms is solved in closed form,
+    with no pivot. With one row (or column) the plan ships every column's
+    mass from it, and u_i = c_i0 - c_00, v_j = c_0j. With two rows the
+    columns are sorted by (c_0j - c_1j, j) and row 0 fills them greedily
+    up to a split column k (:func:`_fill_first_row`); u = (0, c_1k - c_0k),
+    v_j = c_0j for the columns up to and including k and c_1j - u_1 after
+    it. With two columns the same holds for the transpose, shifted so that
+    u[0] = 0.
+
+    Larger problems run the primal network simplex on the bipartite graph
+    with a northwest-corner start, and ``u`` and ``v`` are the potentials
+    of its final basis tree. Bland's rule (smallest row-major arc index)
     picks both the entering arc and the leaving arc among ties, which
-    rules out cycling under degeneracy. Returns ``(cost, gamma, u, v)``,
-    where ``u`` and ``v`` are the row and column potentials of the final
-    basis tree: ``u[0] = 0`` and ``u_i + v_j = c_ij`` on its arcs, no
-    reduced cost ``c_ij - u_i - v_j`` is below minus the pricing
-    threshold, and ``a·u + b·v`` is the plan's cost up to rounding.
+    rules out cycling under degeneracy.
 
     Pricing finds the first arc in row-major order whose reduced cost
     ``(c_ij - u_i) - v_j`` is below the threshold
@@ -219,16 +288,15 @@ def solve_transport(
     if abs(a_sum - b_sum) > COST_TOL:
         raise ValueError("weight vectors must carry equal total mass")
 
+    if _solver_name(C.shape) == "closed-form":
+        gamma, u, v = _narrow_plan(C, rows, ra, rb)
+        return float((gamma * C).sum()), gamma, u, v
+
     basis = _northwest_basis(ra, rb)
     rc_tol = REDUCED_COST_TOL * max(1.0, c_max)
     scan = m * n <= SCAN_PRICING_CELLS
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
-        if m == 1 or n == 1:
-            # the basis holds every arc: nothing to price, and the
-            # potentials follow from the costs
-            u, v = C[:, 0] - C[0, 0], C[0].copy()
-            break
         u, v, parent, depth = _tree_duals(basis, C, m, n)
         if scan:
             entering = _first_eligible_scan(rows, u.tolist(), v.tolist(), -rc_tol)
@@ -291,14 +359,18 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
     triangle inequality can fail the certificate; then, when a cost is not
     finite, and when no side or only one is left with mass to move (equal
     measures, or rounding), the whole problem is solved with no atom held
-    in place, and a non-finite cost raises as it would there.
+    in place, and a non-finite cost raises as it would there. A measure of
+    at most two atoms takes the whole problem to the closed form of
+    :func:`solve_transport`, which is exact for any finite cost, with no
+    cut and no certificate.
     """
     C = cost_matrix(space, mu.support, eta.support)
-    gamma = _plan_around_shared_mass(C, mu, eta)
+    solver = _solver_name(C.shape)
+    gamma = _plan_around_shared_mass(C, mu, eta) if solver == "network-simplex" else None
     if gamma is None:
         gamma = solve_transport(C, mu.weights, eta.weights)[1]
     cost = float((gamma * C).sum())
-    return TransportResult(cost, Coupling(mu.support, eta.support, gamma), "network-simplex")
+    return TransportResult(cost, Coupling(mu.support, eta.support, gamma), solver)
 
 
 def _plan_around_shared_mass(

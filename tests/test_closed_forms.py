@@ -1,25 +1,29 @@
-"""The simplex against closed-form distances, at sizes past the brute-force
+"""The solver against closed-form distances, at sizes past the brute-force
 oracles' reach: tied weights, overlapping supports and integer grids, the
-degenerate regime of the pivot rule."""
+degenerate regime of the pivot rule, and, for a measure of one or two
+atoms against one of up to 300, tied cost differences, the degenerate
+regime of the solver's own closed form."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import discrete_distance, line_distance, tree_distance
+from test_simplex_reference import assert_certified
 
 from kantorovich.ground import Discrete, Euclidean, GroundSpace, Manhattan, TableMetric
 from kantorovich.measures import FiniteMeasure
-from kantorovich.transport import kantorovich
+from kantorovich.transport import kantorovich, solve_transport
 
 MAX_ATOMS = 40
+MAX_WIDE_ATOMS = 300
 MAX_TREE_NODES = 30
 
 
 @st.composite
-def measure_on(draw, points):
-    """A measure on some of ``points``, with uniform weights or integer
-    weights over their sum."""
-    k = draw(st.integers(1, min(len(points), MAX_ATOMS)))
+def measure_on(draw, points, max_atoms=MAX_ATOMS):
+    """A measure on at most ``max_atoms`` of ``points``, with uniform weights
+    or integer weights over their sum."""
+    k = draw(st.integers(1, min(len(points), max_atoms)))
     idx = draw(st.permutations(range(len(points))))[:k]
     if draw(st.booleans()):
         ws = [1.0 / k] * k
@@ -70,6 +74,38 @@ def test_discrete_metric_distance_is_the_total_variation(pair):
 def test_line_distance_is_the_area_between_distribution_functions(pair, metric):
     mu, eta = pair
     assert abs(_distance(metric, mu, eta) - line_distance(mu, eta)) <= 1e-9
+
+
+@st.composite
+def narrow_pairs(draw):
+    """A measure of one or two atoms and one of up to ``MAX_WIDE_ATOMS``, on
+    one integer grid and in either order: the shapes 1×n, 2×n, n×1 and n×2.
+    On a grid the cost differences c_0j - c_1j tie, under every metric."""
+    points = [(float(i),) for i in range(draw(st.integers(1, MAX_WIDE_ATOMS)))]
+    narrow = draw(measure_on(points, 2))
+    wide = draw(measure_on(points, MAX_WIDE_ATOMS))
+    return (narrow, wide) if draw(st.booleans()) else (wide, narrow)
+
+
+# two atoms against the widest uniform measure, sharing both atoms
+NARROWEST = (
+    FiniteMeasure([(0.0,), (float(MAX_WIDE_ATOMS - 1),)], [0.25, 0.75]),
+    _uniform(range(MAX_WIDE_ATOMS)),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(narrow_pairs(), st.sampled_from([Euclidean(), Manhattan(), Discrete()]))
+@example(NARROWEST, Manhattan())
+@example(NARROWEST[::-1], Discrete())
+def test_closed_form_matches_the_oracles_and_certifies_its_plan(pair, metric):
+    mu, eta = pair
+    oracle = discrete_distance if isinstance(metric, Discrete) else line_distance
+    assert abs(_distance(metric, mu, eta) - oracle(mu, eta)) <= 1e-9
+    C = metric.pairwise(mu.support, eta.support)
+    cost, gamma, u, v = solve_transport(C, mu.weights, eta.weights)
+    assert abs(cost - oracle(mu, eta)) <= 1e-9
+    assert_certified(C, mu.weights, eta.weights, cost, gamma, u, v)
 
 
 @st.composite

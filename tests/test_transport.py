@@ -14,6 +14,7 @@ from kantorovich.ground import (
     PullbackMetric,
 )
 from kantorovich.measures import FiniteMeasure, PartitionError, cell_of, dirac, measures_equal
+from kantorovich.monad import second_order_distance
 from kantorovich.transport import (
     brute_force_distance,
     cost_matrix,
@@ -43,7 +44,24 @@ def test_dirac_pair_is_ground_distance():
     space = GroundSpace([(0, 0), (3, 4)], Euclidean())
     r = kantorovich(space, dirac((0, 0)), dirac((3, 4)))
     assert r.cost == pytest.approx(5.0, abs=1e-12)
-    assert r.solver == "network-simplex"
+    assert r.solver == "closed-form"
+
+
+def test_the_solver_name_follows_the_shape_of_the_whole_problem():
+    space = line_space(*range(8))
+    pts = space.points
+    two, three = FiniteMeasure(pts[:2], [0.5, 0.5]), FiniteMeasure(pts[2:5], [0.25, 0.25, 0.5])
+    five = FiniteMeasure(pts[3:], [0.2] * 5)
+    assert kantorovich(space, two, five).solver == "closed-form"
+    assert kantorovich(space, five, two).solver == "closed-form"
+    # three atoms a side, two of them shared: the residual cut is narrow,
+    # the whole problem is not
+    assert kantorovich(space, three, FiniteMeasure(pts[3:6], [0.5, 0.25, 0.25])).solver == (
+        "network-simplex"
+    )
+    M, N = dirac(two), FiniteMeasure([two, three, five], [0.25, 0.25, 0.5])
+    assert second_order_distance(space, M, N).solver == "closed-form"
+    assert second_order_distance(space, N, N).solver == "network-simplex"
 
 
 def test_identical_measures_at_zero_distance():
@@ -346,7 +364,10 @@ def test_simplex_matches_highs():
     # a third oracle, beyond the 4-atom and 8-atom reach of brute force
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(31)
-    shapes = [(5, 5), (5, 9), (12, 12), (17, 8), (25, 25), (15, 40), (40, 15), (40, 40)]
+    shapes = [
+        (5, 5), (5, 9), (12, 12), (17, 8), (25, 25), (15, 40), (40, 15), (40, 40),
+        (2, 60), (60, 2), (2, 2),
+    ]
     for m, n in shapes:
         for tied in (False, True):
             if tied:
@@ -462,8 +483,9 @@ def test_one_row_or_column_returns_the_product_coupling_without_pricing(monkeypa
                     assert np.abs(gamma - product).max() <= 1e-15
                 assert cost == float((gamma * C).sum())
     assert calls == 0
-    # with two rows and two columns there is something to price
-    solve_transport(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    # with three rows and three columns there is something to price
+    third = np.full(3, 1.0 / 3)
+    solve_transport(1.0 - np.eye(3)[::-1], third, third)
     assert calls >= 1
 
 
@@ -571,10 +593,16 @@ def test_solve_transport_rejects_weights_that_are_not_1d():
 
 class _BrokenTriangle(GroundMetric):
     """d(a, b) = d(b, c) = 1 and d(a, c) = 5: the detour through b is
-    shorter than the direct route, so this is not a pseudometric."""
+    shorter than the direct route, so this is not a pseudometric. A fourth
+    label x is 5 from each of the others."""
 
     kind = "broken-triangle"
-    _d = {frozenset("ab"): 1.0, frozenset("bc"): 1.0, frozenset("ac"): 5.0}
+    _d = {
+        frozenset("ab"): 1.0,
+        frozenset("bc"): 1.0,
+        frozenset("ac"): 5.0,
+        **{frozenset(p + "x"): 5.0 for p in "abc"},
+    }
 
     def _raw(self, x, y):
         return 0.0 if x == y else self._d[frozenset((x, y))]
@@ -590,13 +618,36 @@ def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
         return out
 
     monkeypatch.setattr(transport, "solve_transport", recorded)
+    space = GroundSpace(["a", "b", "c", "x"], _BrokenTriangle())
+    mu = FiniteMeasure(["a", "b", "x"], [0.25, 0.25, 0.5])
+    eta = FiniteMeasure(["b", "c", "x"], [0.25, 0.25, 0.5])
+    r = kantorovich(space, mu, eta)
+    # the mass on b and x stays, and the residual sends a to c at 5: a plan
+    # of 1.25 whose certificate fails, so the whole problem is solved again
+    assert solves == [((1, 1), 1.25), ((3, 3), 0.5)]
+    assert r.cost == 0.5
+    assert (r.coupling.rows, r.coupling.cols) == (("a", "b", "x"), ("b", "c", "x"))
+    # a to b, b to c, and x stays
+    assert r.coupling.gamma.tolist() == [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.5]]
+
+
+def test_two_atoms_a_side_take_the_closed_form_whole_under_a_broken_triangle(monkeypatch):
+    # the closed form is exact for any finite cost, so there is no cut and
+    # nothing to certify: one solve of the whole problem
+    solves = []
+    solve = transport.solve_transport
+
+    def recorded(C, a, b):
+        out = solve(C, a, b)
+        solves.append((C.shape, out[0]))
+        return out
+
+    monkeypatch.setattr(transport, "solve_transport", recorded)
     space = GroundSpace(["a", "b", "c"], _BrokenTriangle())
     mu = FiniteMeasure(["a", "b"], [0.5, 0.5])
     eta = FiniteMeasure(["b", "c"], [0.5, 0.5])
     r = kantorovich(space, mu, eta)
-    # the half on b stays, and the residual sends a to c at 5: a plan of 2.5
-    # whose certificate fails, so the whole problem is solved again
-    assert solves == [((1, 1), 2.5), ((2, 2), 1.0)]
+    assert solves == [((2, 2), 1.0)]
     assert r.cost == 1.0
     assert (r.coupling.rows, r.coupling.cols) == (("a", "b"), ("b", "c"))
     assert r.coupling.gamma.tolist() == [[0.5, 0.0], [0.0, 0.5]]  # a to b, b to c
@@ -612,13 +663,36 @@ class _FarDetour(_BrokenTriangle):
 
 @pytest.mark.parametrize("far", [float("inf"), float("nan")])
 def test_a_non_finite_cost_outside_the_residual_cut_still_raises(far):
-    # b is shared, so only a -> c is left to solve, a finite 1x1 cut; the
-    # cost of b -> c lies outside it and must still be rejected
+    # b and x are shared, so only a -> c is left to solve, a finite 1x1 cut;
+    # the cost of b -> c lies outside it and must still be rejected
+    space = GroundSpace(["a", "b", "c", "x"], _FarDetour(far))
+    mu = FiniteMeasure(["a", "b", "x"], [0.25, 0.25, 0.5])
+    eta = FiniteMeasure(["b", "c", "x"], [0.25, 0.25, 0.5])
+    with pytest.raises(ValueError, match="costs must be finite"):
+        kantorovich(space, mu, eta)
+
+
+@pytest.mark.parametrize("far", [float("inf"), float("nan")])
+def test_a_non_finite_cost_in_a_two_atom_problem_raises(far):
+    # the closed form solves the whole 2x2 problem, and rejects b -> c
     space = GroundSpace(["a", "b", "c"], _FarDetour(far))
     mu = FiniteMeasure(["a", "b"], [0.5, 0.5])
     eta = FiniteMeasure(["b", "c"], [0.5, 0.5])
     with pytest.raises(ValueError, match="costs must be finite"):
         kantorovich(space, mu, eta)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 2), (2, 5), (5, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_the_closed_form_rejects_a_non_finite_cost(shape, bad):
+    m, n = shape
+    C = np.arange(m * n, dtype=float).reshape(m, n)
+    a, b = np.full(m, 1.0 / m), np.full(n, 1.0 / n)
+    for k in range(m * n):
+        Cb = C.copy()
+        Cb.flat[k] = bad
+        with pytest.raises(ValueError, match="^costs must be finite, got a non-finite entry$"):
+            solve_transport(Cb, a, b)
 
 
 def _grid_pair(rng, n):
