@@ -277,7 +277,6 @@ def solve_transport(
     rows = C.tolist()
     if not all(map(isfinite, itertools.chain.from_iterable(rows))):
         raise ValueError("costs must be finite, got a non-finite entry")
-    c_max = max(map(abs, itertools.chain.from_iterable(rows)))
     ra, rb = a.tolist(), b.tolist()
     a_sum, b_sum = sum(ra), sum(rb)
     if not (isfinite(a_sum) and isfinite(b_sum)):
@@ -293,7 +292,7 @@ def solve_transport(
         return float((gamma * C).sum()), gamma, u, v
 
     basis = _northwest_basis(ra, rb)
-    rc_tol = REDUCED_COST_TOL * max(1.0, c_max)
+    rc_tol = REDUCED_COST_TOL * max(1.0, max(map(abs, itertools.chain.from_iterable(rows))))
     scan = m * n <= SCAN_PRICING_CELLS
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
