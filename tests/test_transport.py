@@ -608,7 +608,8 @@ class _BrokenTriangle(GroundMetric):
         return 0.0 if x == y else self._d[frozenset((x, y))]
 
 
-def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
+def _recorded_solves(monkeypatch):
+    """The shape and cost of each ``solve_transport`` call, in call order."""
     solves = []
     solve = transport.solve_transport
 
@@ -618,6 +619,11 @@ def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
         return out
 
     monkeypatch.setattr(transport, "solve_transport", recorded)
+    return solves
+
+
+def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
+    solves = _recorded_solves(monkeypatch)
     space = GroundSpace(["a", "b", "c", "x"], _BrokenTriangle())
     mu = FiniteMeasure(["a", "b", "x"], [0.25, 0.25, 0.5])
     eta = FiniteMeasure(["b", "c", "x"], [0.25, 0.25, 0.5])
@@ -634,15 +640,7 @@ def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
 def test_two_atoms_a_side_take_the_closed_form_whole_under_a_broken_triangle(monkeypatch):
     # the closed form is exact for any finite cost, so there is no cut and
     # nothing to certify: one solve of the whole problem
-    solves = []
-    solve = transport.solve_transport
-
-    def recorded(C, a, b):
-        out = solve(C, a, b)
-        solves.append((C.shape, out[0]))
-        return out
-
-    monkeypatch.setattr(transport, "solve_transport", recorded)
+    solves = _recorded_solves(monkeypatch)
     space = GroundSpace(["a", "b", "c"], _BrokenTriangle())
     mu = FiniteMeasure(["a", "b"], [0.5, 0.5])
     eta = FiniteMeasure(["b", "c"], [0.5, 0.5])
