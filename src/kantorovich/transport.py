@@ -49,15 +49,6 @@ PIVOTS_PER_ARC = 200
 #: Largest support the permutation oracle enumerates (8! permutations).
 MAX_PERMUTATION_ATOMS = 8
 
-#: Problems of at most this many cells price each pivot by a Python scan
-#: over the rows, larger ones by one numpy mask. Per pricing round, on the
-#: rounds of random Euclidean solves (2-vCPU x86-64, Python 3.11, numpy
-#: 2.4), the scan took 3.5 against 7.0 us at 3x3, 4.7 against 6.9 at 5x5,
-#: 6.7 against 7.3 at 7x7, 7.4 against 7.2 at 8x8, and 11.3 against 7.6 at
-#: 12x12. Problems with a side of at most two atoms take the closed form
-#: and are never priced.
-SCAN_PRICING_CELLS = 64
-
 
 @dataclass(frozen=True)
 class Coupling:
@@ -153,19 +144,10 @@ def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
     return pot[:m], pot[m:], parent, depth
 
 
-def _first_eligible_scan(rows: list, u: list, v: list, below: float):
-    """First arc ``(i, j)`` in row-major order whose reduced cost
-    ``(c_ij - u_i) - v_j`` is below ``below``, or ``None``; a Python scan
-    that stops at the hit."""
-    for i, (row, ui) in enumerate(zip(rows, u)):
-        for j, (c, vj) in enumerate(zip(row, v)):
-            if (c - ui) - vj < below:
-                return i, j
-    return None
-
-
 def _first_eligible_mask(C: np.ndarray, u: np.ndarray, v: np.ndarray, below: float):
-    """The arc :func:`_first_eligible_scan` finds, from one numpy mask."""
+    """First arc ``(i, j)`` in row-major order whose reduced cost
+    ``(c_ij - u_i) - v_j`` is below ``below``, or ``None``: the first hit
+    of one numpy mask over the whole matrix."""
     eligible = (C - u[:, None] - v[None, :] < below).ravel()
     k = int(eligible.argmax())
     return divmod(k, C.shape[1]) if eligible[k] else None
@@ -250,13 +232,10 @@ def solve_transport(
     picks both the entering arc and the leaving arc among ties, which
     rules out cycling under degeneracy.
 
-    Pricing finds the first arc in row-major order whose reduced cost
-    ``(c_ij - u_i) - v_j`` is below the threshold
-    ``-REDUCED_COST_TOL * max(1, max |c|)``. Problems
-    of at most ``SCAN_PRICING_CELLS`` cells scan the rows of the cost
-    matrix as Python floats and stop at that arc; larger ones take it as
-    the first hit of one numpy mask over the whole matrix. Both evaluate
-    the same float expression, so both pick the same arc. Neither skips
+    Pricing takes the entering arc as the first arc in row-major order
+    whose reduced cost ``(c_ij - u_i) - v_j`` is below the threshold
+    ``-REDUCED_COST_TOL * max(1, max |c|)``, from one numpy mask over the
+    whole matrix (:func:`_first_eligible_mask`). The mask does not skip
     the basis arcs: their reduced costs are zero up to the rounding of
     potentials within ``(m + n) * max |c|``, far inside the threshold.
     """
@@ -293,14 +272,10 @@ def solve_transport(
 
     basis = _northwest_basis(ra, rb)
     rc_tol = REDUCED_COST_TOL * max(1.0, max(map(abs, itertools.chain.from_iterable(rows))))
-    scan = m * n <= SCAN_PRICING_CELLS
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
         u, v, parent, depth = _tree_duals(basis, C, m, n)
-        if scan:
-            entering = _first_eligible_scan(rows, u.tolist(), v.tolist(), -rc_tol)
-        else:
-            entering = _first_eligible_mask(C, u, v, -rc_tol)
+        entering = _first_eligible_mask(C, u, v, -rc_tol)
         if entering is None:
             break
         i0, j0 = entering
@@ -343,8 +318,8 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
 
     The minimum exists because the coupling polytope is nonempty (the
     product coupling is feasible) and compact; the returned coupling
-    attains it. Cost is recomputed from the coupling, so the reported
-    value and the plan always agree.
+    attains it. The reported cost is ``sum(gamma * C)`` of the returned
+    coupling, summed once, so the value and the plan always agree.
 
     Mass that both measures put on one atom stays in place: for a
     pseudometric the distance depends only on ``mu - eta``, so the shared
@@ -365,20 +340,21 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
     """
     C = cost_matrix(space, mu.support, eta.support)
     solver = _solver_name(C.shape)
-    gamma = _plan_around_shared_mass(C, mu, eta) if solver == "network-simplex" else None
-    if gamma is None:
-        gamma = solve_transport(C, mu.weights, eta.weights)[1]
-    cost = float((gamma * C).sum())
+    plan = _plan_around_shared_mass(C, mu, eta) if solver == "network-simplex" else None
+    if plan is None:
+        plan = solve_transport(C, mu.weights, eta.weights)[:2]
+    cost, gamma = plan
     return TransportResult(cost, Coupling(mu.support, eta.support, gamma), solver)
 
 
 def _plan_around_shared_mass(
     C: np.ndarray, mu: FiniteMeasure, eta: FiniteMeasure
-) -> Optional[np.ndarray]:
-    """A certified optimal plan that keeps each shared atom's common mass
-    on its diagonal cell and solves the rest, or ``None`` when the supports
-    share no atom, when a cost is not finite, when no side or only one is
-    left with mass to move, or when the certificate fails."""
+) -> Optional[tuple[float, np.ndarray]]:
+    """``(cost, gamma)`` of a certified optimal plan that keeps each shared
+    atom's common mass on its diagonal cell and solves the rest, or
+    ``None`` when the supports share no atom, when a cost is not finite,
+    when no side or only one is left with mass to move, or when the
+    certificate fails."""
     col_of = {y: j for j, y in enumerate(eta.support)}
     shared = [(i, col_of[x]) for i, x in enumerate(mu.support) if x in col_of]
     if not shared or not np.isfinite(C).all():
@@ -400,10 +376,11 @@ def _plan_around_shared_mass(
     # dual potentials of the whole problem with no negative reduced cost
     u = (C[:, S] - v_S).min(axis=1)
     v = (C - u[:, None]).min(axis=0)
-    gap = float((gamma * C).sum()) - float(mu.weights @ u + eta.weights @ v)
+    cost = float((gamma * C).sum())
+    gap = cost - float(mu.weights @ u + eta.weights @ v)
     if not gap <= REDUCED_COST_TOL * max(1.0, float(np.abs(C).max())):
         return None
-    return gamma
+    return cost, gamma
 
 
 def independent_coupling(mu: FiniteMeasure, eta: FiniteMeasure) -> Coupling:

@@ -16,7 +16,6 @@ the solver returns must certify its plan.
 from collections import deque
 
 import numpy as np
-import pytest
 
 from kantorovich import transport
 from kantorovich.transport import COST_TOL, REDUCED_COST_TOL, _northwest_basis, solve_transport
@@ -215,10 +214,9 @@ def test_potentials_certify_the_returned_plan():
 
 
 def _pricing_instances():
-    # square shapes from 6x6 to 12x12 on both sides of SCAN_PRICING_CELLS
-    # and at it, and two thin ones that the closed form solves; random and
-    # tied integer costs, each also scaled by 1e6 and 1e-6, since the
-    # pricing threshold scales with the largest cost
+    # square shapes from 6x6 to 12x12, and two thin ones that the closed
+    # form solves; random and tied integer costs, each also scaled by 1e6
+    # and 1e-6, since the pricing threshold scales with the largest cost
     rng = np.random.default_rng(77)
     for m, n in [(k, k) for k in range(6, 13)] + [(2, 40), (40, 2)]:
         for tied in (False, True):
@@ -232,11 +230,9 @@ def _pricing_instances():
                 yield C * scale, a / a.sum(), b / b.sum()
 
 
-@pytest.mark.parametrize("cells", [None, 0, 10**6], ids=["cutoff", "mask", "scan"])
-def test_both_pricing_paths_match_the_reference(monkeypatch, cells):
-    # each path on every instance, and the split the module constant makes
-    if cells is not None:
-        monkeypatch.setattr(transport, "SCAN_PRICING_CELLS", cells)
+def test_pricing_instances_match_the_reference():
+    # the mask prices every pivot: the small instances above cover 3x3 to
+    # 6x6, these 6x6 to 12x12 at three scales of the threshold
     rounds = sum(assert_same_as_reference(C, a, b) for C, a, b in _wide(_pricing_instances()))
     # pinned: a change to the pivot sequence must be recorded here
     assert rounds == 2202

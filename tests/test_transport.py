@@ -6,12 +6,16 @@ import pytest
 
 from kantorovich import run_law_suite, transport
 from kantorovich.ground import (
+    Chebyshev,
     Discrete,
     Euclidean,
     GroundMetric,
     GroundSpace,
     Manhattan,
+    MaxMetric,
     PullbackMetric,
+    TableMetric,
+    ZeroMetric,
 )
 from kantorovich.measures import FiniteMeasure, PartitionError, cell_of, dirac, measures_equal
 from kantorovich.monad import second_order_distance
@@ -91,15 +95,50 @@ def test_uniform_shift_both_permutations_cost_one():
     assert oracle.cost == pytest.approx(1.0, abs=COST_TOL)
 
 
-def test_attainment_cost_recomputable():
+def test_attainment_cost_recomputable(monkeypatch):
+    # the reported cost is the plan's cost to the bit under every built-in
+    # metric: summed once, by the solve of the whole problem or by the
+    # shared-mass cut
+    solves = _recorded_solves(monkeypatch)
     rng = np.random.default_rng(5)
-    pts = [tuple(p) for p in rng.random((9, 2))]
-    space = GroundSpace(pts, Euclidean())
-    mu, eta = random_measure(rng, pts), random_measure(rng, pts)
-    r = kantorovich(space, mu, eta)
-    C = cost_matrix(space, mu.support, eta.support)
-    assert r.coupling.cost_against(C) == pytest.approx(r.cost, abs=COST_TOL)
-    assert r.coupling.check_marginals(mu, eta)
+    pts = [tuple(p) for p in rng.random((8, 2)).tolist()]
+    metrics = [
+        Euclidean(),
+        Manhattan(cap=1.0),
+        Chebyshev(),
+        Discrete(),
+        TableMetric(pts, Euclidean().pairwise(pts, pts)),
+        PullbackMetric(lambda p: p[:1], Manhattan()),
+        MaxMetric([Euclidean(), Discrete()]),
+        ZeroMetric(),
+    ]
+    cases = [
+        ("narrow", pts[:2], pts[2:7]),
+        ("shared", pts[:5], pts[3:8]),  # two atoms in both supports
+        ("disjoint", pts[:4], pts[4:8]),
+    ]
+
+    def measure(support):
+        w = rng.random(len(support)) + 0.1
+        return FiniteMeasure(support, w / w.sum())
+
+    for metric in metrics:
+        space = GroundSpace(pts, metric)
+        for case, xs, ys in cases:
+            where = (metric.kind, case)
+            del solves[:]
+            mu, eta = measure(xs), measure(ys)
+            r = kantorovich(space, mu, eta)
+            C = cost_matrix(space, mu.support, eta.support)
+            assert r.cost == r.coupling.cost_against(C), where
+            assert r.coupling.check_marginals(mu, eta), where
+            # one solve: the residual of a certified cut, or the whole
+            # problem, whose cost is the one reported
+            [(shape, cost)] = solves
+            if case == "shared":
+                assert shape != C.shape, where
+            else:
+                assert (shape, cost) == (C.shape, r.cost), where
 
 
 def test_independent_coupling():
