@@ -116,15 +116,13 @@ def _northwest_basis(ra: list[float], rb: list[float]) -> dict[tuple[int, int], 
             j += 1
 
 
-def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
+def _tree_duals(adj: list[list[int]], rows: list, m: int, n: int):
     """Node potentials with u[0] = 0, satisfying u_i + v_j = c_ij on basis
     arcs, and each node's parent and depth in the basis tree rooted at row
-    0, from one traversal. Rows are nodes ``0..m-1``, columns ``m..m+n-1``.
+    0, from one traversal. Rows are nodes ``0..m-1``, columns ``m..m+n-1``;
+    ``adj`` lists each node's tree neighbours, which the pivot loop keeps
+    between pivots, and ``rows`` is the cost matrix as Python lists.
     """
-    adj: list[list[int]] = [[] for _ in range(m + n)]
-    for i, j in arcs:
-        adj[i].append(m + j)
-        adj[m + j].append(i)
     pot = np.full(m + n, np.nan)
     pot[0] = 0.0
     parent = [-1] * (m + n)
@@ -135,7 +133,7 @@ def _tree_duals(arcs, C: np.ndarray, m: int, n: int):
         k = stack.pop()
         for node in adj[k]:
             if np.isnan(pot[node]):
-                pot[node] = (C[k, node - m] if k < m else C[node, k - m]) - pot[k]
+                pot[node] = (rows[k][node - m] if k < m else rows[node][k - m]) - pot[k]
                 parent[node], depth[node] = k, depth[k] + 1
                 stack.append(node)
                 visited += 1
@@ -272,9 +270,15 @@ def solve_transport(
 
     basis = _northwest_basis(ra, rb)
     rc_tol = REDUCED_COST_TOL * max(1.0, max(map(abs, itertools.chain.from_iterable(rows))))
+    # each node's tree neighbours in the basis dict's order, kept in step
+    # with it: a pivot deletes the leaving arc and appends the entering one
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
 
     for _ in range(PIVOTS_PER_ARC * (m * n + 10)):
-        u, v, parent, depth = _tree_duals(basis, C, m, n)
+        u, v, parent, depth = _tree_duals(adj, rows, m, n)
         entering = _first_eligible_mask(C, u, v, -rc_tol)
         if entering is None:
             break
@@ -305,6 +309,11 @@ def solve_transport(
             basis[arc] += theta
         del basis[leaving]
         basis[(i0, j0)] = theta
+        i1, j1 = leaving
+        adj[i1].remove(m + j1)
+        adj[m + j1].remove(i1)
+        adj[i0].append(m + j0)
+        adj[m + j0].append(i0)
     else:
         raise RuntimeError("network simplex failed to terminate")
     gamma = np.zeros((m, n))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import kantorovich
+from kantorovich import transport
 from kantorovich.cli import main
 
 FIX = Path(__file__).parent / "fixtures"
@@ -27,10 +28,13 @@ GOLDEN_COMMANDS = [
 
 # golden commands at scale, apart from the ten above that the acceptance
 # criterion counts: 8 inner measures of 50 3-D atoms with exact repeats and
-# atoms 1e-13 apart (220 atoms after merging), and 400 3-D atoms, some merging
+# atoms 1e-13 apart (220 atoms after merging), 400 3-D atoms, some merging,
+# and a coupling of two 12-atom uniform measures on a 6x6 integer grid that
+# share 3 atoms, whose 9x9 residual the network simplex pivots through
 SCALE_COMMANDS = [
     ["flatten", str(FIX / "m2_flatten_8x50.json")],
     ["barycenter", str(FIX / "mu_r3_400.json")],
+    ["coupling", str(FIX / "grid12_a.json"), str(FIX / "grid12_b.json"), "--metric", "manhattan"],
 ]
 
 
@@ -171,6 +175,22 @@ def test_golden_bytes_at_scale(tmp_path):
     for k, argv in enumerate(SCALE_COMMANDS, start=len(GOLDEN_COMMANDS)):
         got = run_to_bytes(argv, tmp_path, f"g{k}")
         assert got == (GOLDEN / f"cmd{k}.json").read_bytes(), f"command {argv} changed its output"
+
+
+def test_golden_grid_coupling_pivots(tmp_path, monkeypatch):
+    # the fixture pins a pivoting plan only while its solve takes more than
+    # the one pricing round of an optimal start
+    calls = 0
+    tree_duals = transport._tree_duals
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return tree_duals(*args)
+
+    monkeypatch.setattr(transport, "_tree_duals", counting)
+    run_to_bytes(SCALE_COMMANDS[2], tmp_path, "grid")
+    assert calls > 1
 
 
 def _write(tmp_path, name, text) -> str:

@@ -198,6 +198,51 @@ def test_degenerate_grid_instances_match_the_reference():
     assert rounds == [180, 656, 907]
 
 
+def _square_instances():
+    # 3x3 to 8x8, random costs and weights, and tied integer ones
+    rng = np.random.default_rng(38)
+    for k in range(60):
+        m, n = (int(x) for x in rng.integers(3, 9, 2))
+        if k % 2:
+            C = rng.integers(0, 4, (m, n)).astype(float)
+            a, b = rng.integers(1, 4, m).astype(float), rng.integers(1, 4, n).astype(float)
+        else:
+            C = rng.random((m, n))
+            a, b = rng.random(m) + 0.1, rng.random(n) + 0.1
+        yield C, a / a.sum(), b / b.sum()
+
+
+def test_the_kept_adjacency_is_a_spanning_tree_at_every_pricing_round(monkeypatch):
+    # the pivot loop updates the tree's adjacency in place of rebuilding it
+    # from the basis; at every round it must still list m + n - 1 distinct
+    # row-column arcs, each at both of its ends, that connect every node
+    calls = 0
+    tree_duals = transport._tree_duals
+
+    def checked(adj, rows, m, n):
+        nonlocal calls
+        calls += 1
+        from_rows = sorted((i, k - m) for i in range(m) for k in adj[i])
+        from_cols = sorted((i, k - m) for k in range(m, m + n) for i in adj[k])
+        assert from_rows == from_cols
+        assert all(0 <= j < n for _, j in from_rows) and all(0 <= i < m for i, _ in from_cols)
+        assert len(set(from_rows)) == len(from_rows) == m + n - 1
+        reached, stack = {0}, [0]
+        while stack:
+            for node in adj[stack.pop()]:
+                if node not in reached:
+                    reached.add(node)
+                    stack.append(node)
+        assert len(reached) == m + n
+        return tree_duals(adj, rows, m, n)
+
+    monkeypatch.setattr(transport, "_tree_duals", checked)
+    instances = [*_grid_instances(), *_square_instances()]
+    for C, a, b in instances:
+        solve_transport(C, a, b)
+    assert calls > 2 * len(instances)
+
+
 def _thin_instances():
     rng = np.random.default_rng(3)
     for k in range(1, 41):
