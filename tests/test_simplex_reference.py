@@ -213,9 +213,9 @@ def _square_instances():
 
 
 def test_the_kept_adjacency_is_a_spanning_tree_at_every_pricing_round(monkeypatch):
-    # the pivot loop updates the tree's adjacency in place of rebuilding it
-    # from the basis; at every round it must still list m + n - 1 distinct
-    # row-column arcs, each at both of its ends, that connect every node
+    # the pivot loop keeps the tree's adjacency as state across pivots; at
+    # every round it must list m + n - 1 distinct row-column arcs, each at
+    # both of its ends, that connect every node
     calls = 0
     tree_duals = transport._tree_duals
 
