@@ -4,10 +4,10 @@ A measure of measures is a :class:`FiniteMeasure` whose atoms are measures,
 so one type serves every order. The unit sends an atom to its Dirac
 measure (:func:`~kantorovich.measures.dirac`, at any order); the
 multiplication flattens a measure of measures into its mixture, which for
-coordinate supports is the barycenter map. The same coupling solver that
-computes ground distances computes the second-order distance on measures
-of measures, with the ground distance itself as the cost. The monad and
-algebra laws are checked in :mod:`kantorovich.laws`.
+coordinate supports is the barycenter map. The second-order distance is
+the same construction one order up: the inner measures' distances are its
+cost matrix, solved as :func:`~kantorovich.transport.kantorovich` solves
+one. The monad and algebra laws are checked in :mod:`kantorovich.laws`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .ground import GroundMetric, GroundSpace, quotient
 from .measures import FiniteMeasure, WEIGHT_TOL, mix, pushforward
 from .points import Point, as_point, coordinates
-from .transport import Coupling, TransportResult, _solver_name, kantorovich, solve_transport
+from .transport import TransportResult, _transport, kantorovich
 
 
 def flatten(M: FiniteMeasure) -> FiniteMeasure:
@@ -73,23 +73,22 @@ def barycenter(space: ConvexSpace, mu: FiniteMeasure) -> Point:
 def second_order_distance(
     space: GroundSpace, M: FiniteMeasure, N: FiniteMeasure
 ) -> TransportResult:
-    """Coupling distance between measures of measures.
+    """Coupling distance between measures of measures of points.
 
     The ground cost between two inner measures is their coupling distance
-    over ``space``; the inner distance matrix is computed once per call
-    and fed to the same exact solver.
+    over ``space``. The inner distance matrix is solved as
+    :func:`~kantorovich.transport.kantorovich` solves its cost matrix: an
+    inner measure that is the same object in both keeps its mass in place.
     """
     for name, outer in (("M", M), ("N", N)):
         if not isinstance(outer.support[0], FiniteMeasure):
             raise TypeError(
                 f"{name} must be a measure of measures, not of points like {outer.support[0]!r}"
             )
-    D = np.zeros((len(M), len(N)))
-    for i, m in enumerate(M.support):
-        for j, nmeas in enumerate(N.support):
-            D[i, j] = kantorovich(space, m, nmeas).cost
-    cost, gamma, _, _ = solve_transport(D, M.weights, N.weights)
-    return TransportResult(cost, Coupling(M.support, N.support, gamma), _solver_name(D.shape))
+        if any(isinstance(m.support[0], FiniteMeasure) for m in outer.support):
+            raise TypeError(f"{name} must be a measure of order 2, not of order 3 or more")
+    D = np.array([[kantorovich(space, m, n).cost for n in N.support] for m in M.support])
+    return _transport(D, M, N)
 
 
 def lifted_pseudometric(

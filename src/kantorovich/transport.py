@@ -8,11 +8,11 @@ atoms is solved in closed form: one atom ships everything, and two rows
 are a continuous knapsack, filled greedily. Larger problems take an
 exact network simplex that walks spanning trees from a northwest-corner
 start, the rule that also routes the off-diagonal mass of
-:func:`partition_coupling`. :func:`kantorovich` leaves the mass both
-measures put on an atom in place, solves the rest, and certifies the
-assembled plan with dual potentials. Two brute-force
-oracles, permutation enumeration and vertex enumeration over all spanning
-trees, are provided for cross-checking.
+:func:`partition_coupling`. :func:`kantorovich`, and the outer solve of
+the second-order distance, leave the mass both measures put on an atom in
+place, solve the rest, and certify the assembled plan with dual
+potentials. Two brute-force oracles, permutation enumeration and vertex
+enumeration over all spanning trees, are provided for cross-checking.
 
 Solver state is confined to each invocation; concurrent calls on shared
 immutable inputs are safe.
@@ -334,25 +334,26 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
     pseudometric the distance depends only on ``mu - eta``, so the shared
     mass ``min(mu(x), eta(x))`` of an atom ``x`` in both supports (equal
     points, compared exactly) costs nothing, and the simplex solves only
-    the rows and columns left with mass. The assembled plan is then
-    certified in O(mn): the residual solve's column potentials extend to
-    dual potentials of the whole problem with no negative reduced cost,
-    and the plan is kept when its cost exceeds their dual value by at most
-    the solver's pricing threshold. A ground cost that breaks the
-    triangle inequality can fail the certificate; then, when a cost is not
+    the rows and columns left with mass. The assembled plan is certified
+    in O(mn) by the residual solve's dual potentials, extended to the whole
+    problem (:func:`_plan_around_shared_mass`). When the certificate fails
+    (a ground cost can break the triangle inequality), when a cost is not
     finite, and when no side or only one is left with mass to move (equal
     measures, or rounding), the whole problem is solved with no atom held
-    in place, and a non-finite cost raises as it would there. A measure of
-    at most two atoms takes the whole problem to the closed form of
-    :func:`solve_transport`, which is exact for any finite cost, with no
-    cut and no certificate.
+    in place, and a non-finite cost raises there. A measure of at most two
+    atoms takes the whole problem to the closed form of
+    :func:`solve_transport`, exact for any finite cost, with no cut and no
+    certificate.
     """
-    C = cost_matrix(space, mu.support, eta.support)
+    return _transport(cost_matrix(space, mu.support, eta.support), mu, eta)
+
+
+def _transport(C: np.ndarray, mu: FiniteMeasure, eta: FiniteMeasure) -> TransportResult:
+    """:func:`kantorovich` from the cost matrix ``C`` of the two supports;
+    also the outer solve of the second-order distance."""
     solver = _solver_name(C.shape)
-    plan = _plan_around_shared_mass(C, mu, eta) if solver == "network-simplex" else None
-    if plan is None:
-        plan = solve_transport(C, mu.weights, eta.weights)[:2]
-    cost, gamma = plan
+    cut = _plan_around_shared_mass(C, mu, eta) if solver == "network-simplex" else None
+    cost, gamma = cut or solve_transport(C, mu.weights, eta.weights)[:2]
     return TransportResult(cost, Coupling(mu.support, eta.support, gamma), solver)
 
 
@@ -363,7 +364,7 @@ def _plan_around_shared_mass(
     atom's common mass on its diagonal cell and solves the rest, or
     ``None`` when the supports share no atom, when a cost is not finite,
     when no side or only one is left with mass to move, or when the
-    certificate fails."""
+    certificate fails; a measure atom is shared only as the same object."""
     col_of = {y: j for j, y in enumerate(eta.support)}
     shared = [(i, col_of[x]) for i, x in enumerate(mu.support) if x in col_of]
     if not shared or not np.isfinite(C).all():

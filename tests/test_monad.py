@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kantorovich import monad
 from kantorovich.ground import Euclidean, GroundSpace, PullbackMetric, coordinate_projection
 from kantorovich.laws import (
     algebra_deviations,
@@ -230,6 +231,23 @@ def test_second_order_distance_rejects_measures_of_points():
         second_order_distance(space, dirac((0.0,)), dirac(dirac((1.0,))))
     with pytest.raises(TypeError, match="^N must be a measure of measures"):
         second_order_distance(space, dirac(dirac((0.0,))), dirac((1.0,)))
+
+
+def test_second_order_distance_rejects_a_third_order_measure_before_any_solve(monkeypatch):
+    # the order is checked up front: an inner solve that met a measure of
+    # measures would raise from deep inside as_point
+    def no_solve(*args):
+        raise AssertionError("an inner distance was solved before the order check")
+
+    monkeypatch.setattr(monad, "kantorovich", no_solve)
+    space = GroundSpace([(0.0,), (1.0,)], Euclidean())
+    M2 = dirac(dirac((0.0,)))
+    # every atom of order 2, or only the second
+    for M3 in (dirac(M2), FiniteMeasure([dirac((1.0,)), M2], [0.5, 0.5])):
+        with pytest.raises(TypeError, match="^M must be a measure of order 2, not of order 3"):
+            second_order_distance(space, M3, M2)
+        with pytest.raises(TypeError, match="^N must be a measure of order 2, not of order 3"):
+            second_order_distance(space, M2, M3)
 
 
 def test_convex_space_dimension_must_be_an_integer():

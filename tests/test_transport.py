@@ -341,12 +341,12 @@ def test_permutation_oracle_stops_at_eight_atoms():
         brute_force_distance(space, mu, eta)
 
 
-def _highs_cost(linprog, C, a, b) -> float:
+def _highs_cost(linprog, C, a, b, method="highs", options=None) -> float:
     m, n = C.shape
     rows = np.kron(np.eye(m), np.ones(n))
     cols = np.kron(np.ones(m), np.eye(n))
     res = linprog(C.ravel(), A_eq=np.vstack([rows, cols]), b_eq=np.concatenate([a, b]),
-                  bounds=(0, None), method="highs")
+                  bounds=(0, None), method=method, options=options)
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -676,6 +676,28 @@ def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
     assert r.coupling.gamma.tolist() == [[0.25, 0.0, 0.0], [0.0, 0.25, 0.0], [0.0, 0.0, 0.5]]
 
 
+def test_a_second_order_pair_keeps_the_mass_of_its_shared_inner_measures(monkeypatch):
+    # M and N hold the inner measures a, b and c as the same objects; measures
+    # hash by identity, so the outer solve keeps their common mass in place
+    rng = np.random.default_rng(3)
+    space = GroundSpace([tuple(p) for p in rng.random((12, 2))], Euclidean())
+    a, b, c, d, e = (random_measure(rng, space.points, 4) for _ in range(5))
+    M = FiniteMeasure([a, b, c, d], [0.4, 0.1, 0.1, 0.4])
+    N = FiniteMeasure([a, b, c, e], [0.1, 0.3, 0.2, 0.4])
+    assert M.support[:3] == N.support[:3] == (a, b, c)
+    D = np.array([[kantorovich(space, m, n).cost for n in N.support] for m in M.support])
+    solves = _recorded_solves(monkeypatch)
+    r = second_order_distance(space, M, N)
+    # rows a and d and columns b, c and e are left with mass
+    assert solves[-1][0] == (2, 3)
+    assert r.coupling.check_marginals(M, N)
+    assert r.coupling.gamma[[0, 1, 2], [0, 1, 2]].tolist() == [0.1, 0.1, 0.1]
+    assert abs(r.cost - solve_transport(D, M.weights, N.weights)[0]) <= 1e-12
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    assert abs(r.cost - _highs_cost(linprog, D, M.weights, N.weights, "highs-ds", tight)) <= 1e-12
+
+
 def test_two_atoms_a_side_take_the_closed_form_whole_under_a_broken_triangle(monkeypatch):
     # the closed form is exact for any finite cost, so there is no cut and
     # nothing to certify: one solve of the whole problem
@@ -742,23 +764,24 @@ def _grid_pair(rng, n):
 
 
 def _count_solves(monkeypatch):
-    """Per ``kantorovich`` call, the shape of the cost matrix and the shapes
-    of the ``solve_transport`` calls it made, in call order."""
+    """Per ``_transport`` call, first- or second-order, the shape of the cost
+    matrix and the shapes of the ``solve_transport`` calls it made, in call
+    order. A second-order outer solve starts after its inner ones end."""
     calls = []
-    solve, kant = transport.solve_transport, transport.kantorovich
+    solve, original = transport.solve_transport, transport._transport
 
     def counted_solve(C, a, b):
         calls[-1][1].append(C.shape)
         return solve(C, a, b)
 
-    def counted_kantorovich(space, mu, eta):
-        calls.append(((len(mu), len(eta)), []))
-        return kant(space, mu, eta)
+    def counted_transport(C, mu, eta):
+        calls.append((C.shape, []))
+        return original(C, mu, eta)
 
     monkeypatch.setattr(transport, "solve_transport", counted_solve)
     for name, mod in list(sys.modules.items()):
-        if name.partition(".")[0] == "kantorovich" and mod.__dict__.get("kantorovich") is kant:
-            monkeypatch.setattr(mod, "kantorovich", counted_kantorovich)
+        if name.partition(".")[0] == "kantorovich" and mod.__dict__.get("_transport") is original:
+            monkeypatch.setattr(mod, "_transport", counted_transport)
     return calls
 
 
