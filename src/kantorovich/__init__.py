@@ -55,7 +55,6 @@ from .points import Point, as_point, points_equal
 from .transport import (
     Coupling,
     TransportResult,
-    brute_force_distance,
     cost_matrix,
     independent_coupling,
     kantorovich,

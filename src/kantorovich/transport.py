@@ -11,8 +11,7 @@ start, the rule that also routes the off-diagonal mass of
 :func:`partition_coupling`. :func:`kantorovich`, and the outer solve of
 the second-order distance, leave the mass both measures put on an atom in
 place, solve the rest, and certify the assembled plan with dual
-potentials. Two brute-force oracles, permutation enumeration and vertex
-enumeration over all spanning trees, are provided for cross-checking.
+potentials.
 
 Solver state is confined to each invocation; concurrent calls on shared
 immutable inputs are safe.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import inf, isfinite
 from typing import Callable, Optional, Sequence
 
@@ -45,9 +43,6 @@ EMIT_ZERO_BELOW = 1e-15
 
 #: The simplex gives up after ``PIVOTS_PER_ARC * (m*n + 10)`` pivots.
 PIVOTS_PER_ARC = 200
-
-#: Largest support the permutation oracle enumerates (8! permutations).
-MAX_PERMUTATION_ATOMS = 8
 
 
 @dataclass(frozen=True)
@@ -441,109 +436,6 @@ def partition_coupling(
         wc = mu.weights[cidx] / b[bj]
         gamma[np.ix_(ridx, cidx)] += q * np.outer(wr, wc)
     return Coupling(mu0.support, mu.support, gamma)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _all_permutations(n: int) -> np.ndarray:
-    return np.array(list(itertools.permutations(range(n))), dtype=int)
-
-
-def _permutation_oracle(C: np.ndarray) -> tuple[float, np.ndarray]:
-    """Uniform equal-size case: minimize over permutation couplings.
-
-    Valid because the vertices of the uniform transportation polytope are
-    the permutation matrices divided by n (Birkhoff).
-    """
-    n = C.shape[0]
-    perms = _all_permutations(n)
-    costs = C[np.arange(n)[None, :], perms].sum(axis=1) / n
-    k = int(costs.argmin())
-    gamma = np.zeros((n, n))
-    gamma[np.arange(n), perms[k]] = 1.0 / n
-    return float(costs[k]), gamma
-
-
-@lru_cache(maxsize=16)
-def _spanning_tree_bases(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """All spanning trees of K_{m,n} as precomputed linear flow solvers.
-
-    Returns ``(arc_index, solver)`` where ``arc_index[t]`` lists the
-    row-major arc indices of tree ``t`` and ``solver[t]`` maps the stacked
-    weight vector ``(a, b)`` to the tree's unique basic flows.
-
-    Arc ``(i, j)`` is the column of the node-arc incidence matrix with ones
-    at row node ``i`` and column node ``m + j``; the last row is dropped, as
-    the rows of row nodes and of column nodes sum to the same vector. The
-    matrix is totally unimodular, so each square block of ``m + n - 1``
-    arcs has determinant 0, or ±1 exactly when the arcs form a spanning
-    tree. The inverse of a tree's block is then an integer matrix, rounded
-    to drop the error of inverting; with a zero column for the dropped node
-    it maps balanced weights ``(a, b)`` to the tree's flows.
-    """
-    arcs = np.arange(m * n)
-    incidence = np.zeros((m + n, m * n))
-    incidence[arcs // n, arcs] = incidence[m + arcs % n, arcs] = 1.0
-    subsets = np.array(list(itertools.combinations(range(m * n), m + n - 1)), dtype=int)
-    blocks = incidence[:-1, subsets].transpose(1, 0, 2)
-    trees = np.abs(np.linalg.det(blocks)) > 0.5
-    solver = np.zeros((int(trees.sum()), m + n - 1, m + n))
-    solver[:, :, :-1] = np.rint(np.linalg.inv(blocks[trees]))
-    return subsets[trees], solver
-
-
-def _vertex_enumeration_oracle(
-    C: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Exact minimum over all basic feasible solutions of the polytope."""
-    m, n = C.shape
-    arc_idx, solvers = _spanning_tree_bases(m, n)
-    rhs = np.concatenate([a, b])
-    flows = solvers @ rhs
-    feasible = (flows >= -1e-12).all(axis=1)
-    if not feasible.any():
-        raise RuntimeError("no feasible spanning-tree basis found")
-    arc_costs = C.ravel()[arc_idx]
-    costs = np.where(feasible, (flows * arc_costs).sum(axis=1), np.inf)
-    t = int(costs.argmin())
-    gamma = np.zeros(m * n)
-    gamma[arc_idx[t]] = np.maximum(flows[t], 0.0)
-    gamma = gamma.reshape(m, n)
-    return float((gamma * C).sum()), gamma
-
-
-def brute_force_distance(
-    space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure
-) -> TransportResult:
-    """Independent oracle for the coupling minimum.
-
-    Uses permutation enumeration for uniform equal-size supports of at
-    most 8 atoms and spanning-tree vertex enumeration when both supports
-    have at most 4 atoms; raises for instances outside both regimes.
-    """
-    C = cost_matrix(space, mu.support, eta.support)
-    m, n = C.shape
-    uniform = (
-        m == n
-        and np.abs(mu.weights - 1.0 / m).max() <= 1e-12
-        and np.abs(eta.weights - 1.0 / n).max() <= 1e-12
-    )
-    if uniform and m <= MAX_PERMUTATION_ATOMS:
-        cost, gamma = _permutation_oracle(C)
-        solver = "brute-permutation"
-    elif m <= 4 and n <= 4:
-        cost, gamma = _vertex_enumeration_oracle(C, mu.weights, eta.weights)
-        solver = "vertex-enumeration"
-    else:
-        raise ValueError(
-            f"brute force needs uniform equal-size supports of at most {MAX_PERMUTATION_ATOMS}"
-            " atoms or supports of at most 4 atoms"
-        )
-    return TransportResult(cost, Coupling(mu.support, eta.support, gamma), solver)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import permutation_oracle, spanning_tree_bases, vertex_enumeration_oracle
 
 from kantorovich import run_law_suite, transport
 from kantorovich.ground import (
@@ -20,7 +21,7 @@ from kantorovich.ground import (
 from kantorovich.measures import FiniteMeasure, PartitionError, cell_of, dirac, measures_equal
 from kantorovich.monad import second_order_distance
 from kantorovich.transport import (
-    brute_force_distance,
+    Coupling,
     cost_matrix,
     independent_coupling,
     kantorovich,
@@ -77,12 +78,14 @@ def test_identical_measures_at_zero_distance():
 
 
 def test_half_mass_move():
-    # derived by brute force over the coupling polytope vertices
+    # the vertex-enumeration oracle agrees: the polytope has the one vertex
     space = line_space(0, 1)
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     eta = dirac((1.0,))
     assert kantorovich(space, mu, eta).cost == pytest.approx(0.5, abs=COST_TOL)
-    assert brute_force_distance(space, mu, eta).cost == pytest.approx(0.5, abs=COST_TOL)
+    C = cost_matrix(space, mu.support, eta.support)
+    oracle_cost, _ = vertex_enumeration_oracle(C, mu.weights, eta.weights)
+    assert oracle_cost == pytest.approx(0.5, abs=COST_TOL)
 
 
 def test_uniform_shift_both_permutations_cost_one():
@@ -90,9 +93,8 @@ def test_uniform_shift_both_permutations_cost_one():
     mu = FiniteMeasure([(0.0,), (1.0,)], [0.5, 0.5])
     eta = FiniteMeasure([(1.0,), (2.0,)], [0.5, 0.5])
     assert kantorovich(space, mu, eta).cost == pytest.approx(1.0, abs=COST_TOL)
-    oracle = brute_force_distance(space, mu, eta)
-    assert oracle.solver == "brute-permutation"
-    assert oracle.cost == pytest.approx(1.0, abs=COST_TOL)
+    oracle_cost, _ = permutation_oracle(cost_matrix(space, mu.support, eta.support))
+    assert oracle_cost == pytest.approx(1.0, abs=COST_TOL)
 
 
 def test_attainment_cost_recomputable(monkeypatch):
@@ -320,25 +322,12 @@ def test_partition_coupling_empty_cell_allowed():
     assert coup.check_marginals(mu, mu)
 
 
-def test_brute_force_regime_errors():
-    space = line_space(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-    pts = space.points
-    mu = FiniteMeasure(pts[:5], [0.1, 0.2, 0.3, 0.2, 0.2])
-    eta = FiniteMeasure(pts[5:], [0.2] * 5)
-    with pytest.raises(ValueError, match="brute force"):
-        brute_force_distance(space, mu, eta)
-
-
 def test_permutation_oracle_stops_at_eight_atoms():
-    # 9 atoms already enumerate 362,880 permutations; each atom more is n times that
+    # 8 atoms enumerate 40,320 permutations; each atom more is n times that
     space = line_space(*range(18))
-    pts = space.points
-    eight = [FiniteMeasure(pts[k : k + 8], [1 / 8] * 8) for k in (0, 10)]
-    assert brute_force_distance(space, *eight).cost == pytest.approx(10.0, abs=COST_TOL)
-    mu = FiniteMeasure(pts[:9], [1 / 9] * 9)
-    eta = FiniteMeasure(pts[9:], [1 / 9] * 9)
-    with pytest.raises(ValueError, match="at most 8 atoms or supports of at most 4"):
-        brute_force_distance(space, mu, eta)
+    mu, eta = (FiniteMeasure(space.points[k : k + 8], [1 / 8] * 8) for k in (0, 10))
+    oracle_cost, _ = permutation_oracle(cost_matrix(space, mu.support, eta.support))
+    assert oracle_cost == pytest.approx(10.0, abs=COST_TOL)
 
 
 def _highs_cost(linprog, C, a, b, method="highs", options=None) -> float:
@@ -353,7 +342,7 @@ def _highs_cost(linprog, C, a, b, method="highs", options=None) -> float:
 
 @pytest.mark.parametrize("m, n", list(itertools.product(range(1, 5), repeat=2)))
 def test_spanning_tree_bases_are_the_trees_of_the_complete_bipartite_graph(m, n):
-    arc_index, solver = transport._spanning_tree_bases(m, n)
+    arc_index, solver = spanning_tree_bases(m, n)
     # Scoza's count of the spanning trees of K_{m,n}
     assert arc_index.shape == (m ** (n - 1) * n ** (m - 1), m + n - 1)
     assert solver.shape == (len(arc_index), m + n - 1, m + n)
@@ -391,12 +380,10 @@ def test_vertex_enumeration_matches_highs():
             space = GroundSpace(pts, Euclidean())
             wa, wb = rng.random(4) + 0.1, rng.random(4) + 0.1
         mu, eta = FiniteMeasure(pts[:4], wa / wa.sum()), FiniteMeasure(pts[4:], wb / wb.sum())
-        oracle = brute_force_distance(space, mu, eta)
-        if oracle.solver != "vertex-enumeration":
-            continue  # uniform weights go to the permutation oracle
         C = cost_matrix(space, mu.support, eta.support)
-        assert abs(oracle.cost - _highs_cost(linprog, C, mu.weights, eta.weights)) <= COST_TOL
-        assert oracle.coupling.check_marginals(mu, eta)
+        cost, gamma = vertex_enumeration_oracle(C, mu.weights, eta.weights)
+        assert abs(cost - _highs_cost(linprog, C, mu.weights, eta.weights)) <= COST_TOL
+        assert Coupling(mu.support, eta.support, gamma).check_marginals(mu, eta)
 
 
 def test_simplex_matches_highs():
@@ -432,9 +419,41 @@ def test_oracle_equivalence_batch():
         space = GroundSpace(pts, Manhattan())
         mu = FiniteMeasure(pts[:n], np.full(n, 1.0 / n))
         eta = FiniteMeasure(pts[n:], np.full(n, 1.0 / n))
-        assert kantorovich(space, mu, eta).cost == pytest.approx(
-            brute_force_distance(space, mu, eta).cost, abs=COST_TOL
-        )
+        oracle_cost, _ = permutation_oracle(cost_matrix(space, mu.support, eta.support))
+        assert kantorovich(space, mu, eta).cost == pytest.approx(oracle_cost, abs=COST_TOL)
+
+
+def test_shared_mass_cut_matches_vertex_enumeration(monkeypatch):
+    # two supports of 3 or 4 of 5 planar points share an atom, and random
+    # weights leave mass to move on both sides: kantorovich keeps the shared
+    # mass in place and solves only the residual, the oracle the whole problem
+    solves = _recorded_solves(monkeypatch)
+    rng = np.random.default_rng(43)
+    pts = [tuple(p) for p in rng.random((5, 2)).tolist()]
+
+    def draw(size):
+        w = rng.random(size) + 0.1
+        return FiniteMeasure([pts[i] for i in rng.permutation(5)[:size]], w / w.sum())
+
+    metrics = [
+        Euclidean(),
+        Chebyshev(),
+        Manhattan(cap=0.6),
+        PullbackMetric(lambda p: (p[0] + 2.0 * p[1],), Euclidean()),
+    ]
+    for metric in metrics:
+        space = GroundSpace(pts, metric)
+        for k in range(40):
+            mu, eta = draw(3 + k % 2), draw(3 + k // 2 % 2)
+            where = (metric.kind, k)
+            del solves[:]
+            cost = kantorovich(space, mu, eta).cost
+            # one solve, of the certified residual alone
+            [(shape, _)] = solves
+            C = cost_matrix(space, mu.support, eta.support)
+            assert shape != C.shape, where
+            oracle_cost, _ = vertex_enumeration_oracle(C, mu.weights, eta.weights)
+            assert abs(cost - oracle_cost) <= COST_TOL, where
 
 
 def test_solver_handles_degenerate_ties():
