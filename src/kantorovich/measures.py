@@ -54,12 +54,9 @@ class MeasureIndex(PointIndex):
             pts = self.points
             yield from (i for i in self._buckets.get(len(m), ()) if measures_equal(m, pts[i]))
 
-    def find(self, m) -> int | None:
-        return next(self.matches(m), None)
-
     def find_or_add(self, m) -> int:
         i = self.find(m)
-        return self._insert(m, len(m)) if i is None else i
+        return self._insert(m, (len(m),)) if i is None else i
 
 
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:

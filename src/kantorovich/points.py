@@ -12,7 +12,8 @@ so the rest of the library can assume points are already in one of these
 shapes. Coordinate comparison is tolerant (``COORD_TOL``) because
 pushforwards of float coordinates produce near-duplicates.
 :class:`PointIndex` finds tolerant matches through hash buckets instead of
-a scan over every stored point.
+a scan over every stored point: a point near a cell edge is filed under
+each neighbouring cell too, so a lookup reads one bucket.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ def as_point(obj: Any) -> Point:
     if isinstance(obj, _NUMBER_TYPES):
         return (float(obj),)
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        # a 0-d array's list form is a number
+        return as_point(obj.tolist())
     if isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             raise ValueError("a point cannot be empty")
@@ -136,77 +138,62 @@ def json_number(value) -> float:
 #: fractions sit in the middle of theirs.
 CELL = 2.0**-24
 _SCALE = 1.0 / CELL
-#: A coordinate within ``2 * COORD_TOL`` of a cell edge also looks in the
-#: neighbouring cell; in cell units, that is an offset beyond ``_NEAR_EDGE``
-#: from the centre.
+#: A coordinate within ``2 * COORD_TOL`` of a cell edge is also filed under
+#: the neighbouring cell; in cell units, that is an offset beyond
+#: ``_NEAR_EDGE`` from the centre.
 _NEAR_EDGE = 0.5 - 2 * COORD_TOL * _SCALE
 
 
-def _cells(p: Point) -> tuple[Hashable, tuple]:
-    """Bucket key of ``p`` and the keys of the other buckets that may hold a
-    point within ``COORD_TOL`` of it (none unless ``p`` is near a cell edge).
+def _cells(p: Point) -> tuple:
+    """Keys of every bucket that may hold a point within ``COORD_TOL`` of
+    ``p``, the key of ``p``'s own bucket first.
 
-    A coordinate point's key is its coordinates rounded to multiples of
-    ``CELL``; a label is its own key; a product point's key is the tuple of
-    its entries' keys. Raises ``ValueError`` on a non-finite coordinate.
+    A coordinate point's own key is its coordinates rounded to multiples of
+    ``CELL``; a coordinate within ``2 * COORD_TOL`` of a cell edge adds the
+    neighbouring cell across that edge. A label is its own key, and a
+    product point's keys are the products of its entries' keys. Raises
+    ``ValueError`` on a non-finite coordinate.
     """
     if isinstance(p, str):
-        return p, ()
-    if isinstance(p[0], float):
-        key = []
-        try:
-            for x in p:
-                y = x * _SCALE
-                k = floor(y)
-                f = y - k  # exact, in [0, 1)
-                if f >= 0.5:
-                    k += 1
-                    f -= 1.0
-                if not -_NEAR_EDGE <= f <= _NEAR_EDGE:
-                    break
-                key.append(k)
-            else:
-                return tuple(key), ()
-        except (ValueError, OverflowError):
-            pass
-        return _edge_cells(p)
-    parts = [_cells(e) for e in p]
-    key = tuple(k for k, _ in parts)
-    if not any(alts for _, alts in parts):
-        return key, ()
-    keys = list(product(*[(k, *alts) for k, alts in parts]))
-    return key, tuple(keys[1:])
-
-
-def _edge_cells(p: tuple) -> tuple[tuple, tuple]:
-    """:func:`_cells` of a coordinate point with a coordinate near a cell
-    edge, non-finite, or so large that scaling it overflows."""
-    options = []
+        return (p,)
+    if not isinstance(p[0], float):
+        return tuple(product(*map(_cells, p)))
+    key = []
+    edges = None
     for x in p:
-        if not isfinite(x):
-            raise ValueError(f"coordinates must be finite, got {p!r}")
         y = x * _SCALE
-        if not isfinite(y):
+        try:
+            k = floor(y)
+        except (ValueError, OverflowError):
+            if not isfinite(x):
+                raise ValueError(f"coordinates must be finite, got {p!r}") from None
             # floats this large are far more than COORD_TOL apart
-            options.append((x,))
+            key.append(x)
             continue
-        k = floor(y)
-        f = y - k
+        f = y - k  # exact, in [0, 1)
         if f >= 0.5:
             k += 1
             f -= 1.0
-        options.append((k, k - 1) if f < -_NEAR_EDGE else (k, k + 1) if f > _NEAR_EDGE else (k,))
-    keys = list(product(*options))
-    return keys[0], tuple(keys[1:])
+        if not -_NEAR_EDGE <= f <= _NEAR_EDGE:
+            if edges is None:
+                edges = {}
+            edges[len(key)] = k - 1 if f < 0 else k + 1
+        key.append(k)
+    if edges is None:
+        return (tuple(key),)
+    return tuple(product(*[(k, edges[i]) if i in edges else (k,) for i, k in enumerate(key)]))
 
 
 class PointIndex:
     """Points in insertion order, with tolerant lookup through hash buckets.
 
-    A lookup returns what a scan over the stored points with
-    :func:`points_equal` would return, in the same order; the buckets only
-    narrow down the candidates. Points with a non-finite coordinate are
-    rejected on insertion and match nothing on lookup.
+    Each point is filed under every key of :func:`_cells`, so all the stored
+    points within ``COORD_TOL`` of a query share the bucket of the query's
+    own key: two equal points in neighbouring cells both lie within
+    ``COORD_TOL`` of their shared edge. A lookup reads that one bucket and
+    returns what a scan over the stored points with :func:`points_equal`
+    would return, in the same order. Points with a non-finite coordinate
+    are rejected on insertion and match nothing on lookup.
     """
 
     __slots__ = ("points", "_buckets")
@@ -215,52 +202,42 @@ class PointIndex:
         self.points: list[Point] = []
         self._buckets: dict[Hashable, list[int]] = {}
         for p in points:
-            self._insert(p, _cells(p)[0])
+            self._insert(p, _cells(p))
 
-    def _insert(self, p: Point, key: Hashable) -> int:
+    def _insert(self, p: Point, cells: tuple) -> int:
         i = len(self.points)
         self.points.append(p)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [i]
-        else:
-            bucket.append(i)
+        buckets = self._buckets
+        for key in cells:
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [i]
+            else:
+                bucket.append(i)
         return i
-
-    def _matches(self, p: Point, key: Hashable, alts: tuple) -> list[int]:
-        pts, buckets = self.points, self._buckets
-        bucket = buckets.get(key)
-        hits = [i for i in bucket if points_equal(p, pts[i])] if bucket else []
-        if alts:
-            for k in alts:
-                hits += [i for i in buckets.get(k, ()) if points_equal(p, pts[i])]
-            hits.sort()
-        return hits
 
     def matches(self, p: Point) -> list[int]:
         """Positions of every stored point equal to ``p``, ascending."""
         try:
-            key, alts = _cells(p)
+            key = _cells(p)[0]
         except ValueError:
             return []
-        return self._matches(p, key, alts)
+        pts = self.points
+        return [i for i in self._buckets.get(key, ()) if points_equal(p, pts[i])]
 
     def find(self, p: Point) -> int | None:
         """Position of the earliest stored point equal to ``p``, if any."""
-        hits = self.matches(p)
-        return hits[0] if hits else None
+        return next(iter(self.matches(p)), None)
 
     def find_or_add(self, p: Point) -> int:
         """Position of the earliest stored point equal to ``p``; stores ``p``
         first when there is none."""
-        key, alts = _cells(p)
-        if not alts and key not in self._buckets:
-            i = len(self.points)
-            self.points.append(p)
-            self._buckets[key] = [i]
-            return i
-        hits = self._matches(p, key, alts)
-        return hits[0] if hits else self._insert(p, key)
+        cells = _cells(p)
+        pts = self.points
+        for i in self._buckets.get(cells[0], ()):
+            if points_equal(p, pts[i]):
+                return i
+        return self._insert(p, cells)
 
 
 def distinct_points(points: Iterable[Point]) -> list[Point]:

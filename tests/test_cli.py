@@ -181,14 +181,14 @@ def test_golden_grid_coupling_pivots(tmp_path, monkeypatch):
     # the fixture pins a pivoting plan only while its solve takes more than
     # the one pricing round of an optimal start
     calls = 0
-    tree_duals = transport._tree_duals
+    first_eligible = transport._first_eligible_mask
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return tree_duals(*args)
+        return first_eligible(*args)
 
-    monkeypatch.setattr(transport, "_tree_duals", counting)
+    monkeypatch.setattr(transport, "_first_eligible_mask", counting)
     run_to_bytes(SCALE_COMMANDS[2], tmp_path, "grid")
     assert calls > 1
 

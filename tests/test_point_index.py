@@ -258,6 +258,26 @@ def test_merging_distinct_points_makes_linearly_many_comparisons(monkeypatch):
     assert calls <= 2 * n  # the scan it replaced makes about n * n / 2
 
 
+def test_a_lookup_reads_only_the_bucket_of_its_own_cell(monkeypatch):
+    # a and the query are near the cell edge at CELL / 2, on one side of it;
+    # b is across the edge and too far from it to be filed under a's cell
+    a = (CELL / 2 - 0.5 * COORD_TOL,)
+    b = (CELL / 2 + 3 * COORD_TOL,)
+    q = (CELL / 2 - 1.5 * COORD_TOL,)
+    index = PointIndex([a, b])
+    calls = 0
+    original = points.points_equal
+
+    def counting(p, r):
+        nonlocal calls
+        calls += 1
+        return original(p, r)
+
+    monkeypatch.setattr(points, "points_equal", counting)
+    assert index.matches(q) == [0]
+    assert calls == 1  # a scan of b's bucket too would make 2
+
+
 def test_non_finite_coordinates_are_rejected_on_insertion_only():
     index = PointIndex([(0.0,)])
     for bad in [(math.nan,), (0.0, math.inf), ("a", (-math.inf,))]:

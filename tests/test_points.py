@@ -42,6 +42,14 @@ def test_rejects_non_points():
         coordinates("a")
 
 
+def test_zero_dimensional_arrays_are_numbers():
+    # a 0-d array's .tolist() is a scalar, which used to miss the number branch
+    assert as_point(np.array(5.0)) == (5.0,)
+    assert as_point(np.array(2)) == (2.0,)
+    with pytest.raises(TypeError, match="a boolean is not a point"):
+        as_point(np.array(True))
+
+
 def test_canonical_coordinate_point_returned_as_is():
     p = (0.5, 1.0)
     assert as_point(p) is p

@@ -111,21 +111,21 @@ def reference_solve(C, a, b):
 
 def assert_same_as_reference(C, a, b):
     """Same cost, same gamma bytes, and as many pricing rounds as the
-    reference loop; the live solver's rounds are its ``_tree_duals`` calls.
-    Returns the number of rounds."""
+    reference loop; the live solver's rounds are its
+    ``_first_eligible_mask`` calls. Returns the number of rounds."""
     calls = 0
-    tree_duals = transport._tree_duals
+    first_eligible = transport._first_eligible_mask
 
     def counted(*args):
         nonlocal calls
         calls += 1
-        return tree_duals(*args)
+        return first_eligible(*args)
 
-    transport._tree_duals = counted
+    transport._first_eligible_mask = counted
     try:
         cost, gamma, _, _ = solve_transport(C, a, b)
     finally:
-        transport._tree_duals = tree_duals
+        transport._first_eligible_mask = first_eligible
     ref_cost, ref_gamma, rounds = reference_solve(C, a, b)
     assert cost == ref_cost
     assert gamma.tobytes() == ref_gamma.tobytes()

@@ -518,14 +518,14 @@ def test_solve_transport_rejects_a_non_finite_entry_anywhere(monkeypatch, n, bad
 
 def test_one_row_or_column_returns_the_product_coupling_without_pricing(monkeypatch):
     calls = 0
-    original = transport._tree_duals
+    original = transport._first_eligible_mask
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return original(*args)
 
-    monkeypatch.setattr(transport, "_tree_duals", counting)
+    monkeypatch.setattr(transport, "_first_eligible_mask", counting)
     rng = np.random.default_rng(7)
     for k in (1, 2, 5):
         for trial in range(4):
