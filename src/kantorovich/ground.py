@@ -18,7 +18,7 @@ from .points import (
     Point,
     PointIndex,
     as_point,
-    canonical_coordinates,
+    as_points,
     is_coordinate,
     is_finite,
     json_number,
@@ -39,12 +39,13 @@ class MetricAxiomError(ValueError):
 
 def _coord_array(pts: Sequence[Point], kind: str) -> np.ndarray:
     """Array of a nonempty coordinate point list; canonicalizes only if needed."""
-    if not canonical_coordinates(pts):
-        pts = [as_point(p) for p in pts]
-        bad = [p for p in pts if not is_coordinate(p)]
+    canon = as_points(pts)
+    # a list that is canonical as it is holds only coordinate points
+    if canon is not pts:
+        bad = [p for p in canon if not is_coordinate(p)]
         if bad:
             raise ValueError(f"{kind} metric requires coordinate points, got {bad[0]!r}")
-    return np.array(pts, dtype=float)
+    return np.array(canon, dtype=float)
 
 
 class GroundMetric:
@@ -72,11 +73,11 @@ class GroundMetric:
         return d if self.cap is None else np.minimum(d, self.cap)
 
     def __call__(self, x, y) -> float:
-        return float(self.pairwise([as_point(x)], [as_point(y)])[0, 0])
+        return float(self.pairwise([x], [y])[0, 0])
 
     def pairwise(self, xs: Sequence[Point], ys: Sequence[Point]) -> np.ndarray:
         """Distance matrix between two point lists, canonicalized as needed."""
-        xs, ys = [as_point(x) for x in xs], [as_point(y) for y in ys]
+        xs, ys = as_points(xs), as_points(ys)
         d = np.array([[self._raw(x, y) for y in ys] for x in xs], dtype=float)
         return self._capped(d.reshape(len(xs), len(ys)))
 
@@ -128,7 +129,7 @@ class Discrete(GroundMetric):
     kind = "discrete"
 
     def pairwise(self, xs, ys):
-        xs, ys = [as_point(x) for x in xs], [as_point(y) for y in ys]
+        xs, ys = as_points(xs), as_points(ys)
         # the index refuses a point with a non-finite coordinate, which
         # equals no point, itself included
         cols = [j for j, y in enumerate(ys) if is_finite(y)]
@@ -163,7 +164,7 @@ class TableMetric(GroundMetric):
 
     def __init__(self, points: Iterable, table, cap: float | None = None):
         super().__init__(cap)
-        self.points = tuple(as_point(p) for p in points)
+        self.points = tuple(as_points(points))
         self.table = np.asarray(table, dtype=float)
         k = len(self.points)
         if self.table.shape != (k, k):
@@ -178,7 +179,7 @@ class TableMetric(GroundMetric):
         return i
 
     def pairwise(self, xs, ys):
-        i, j = ([self._lookup(as_point(p)) for p in pts] for pts in (xs, ys))
+        i, j = ([self._lookup(p) for p in pts] for pts in (xs, ys))
         return self._capped(self.table[np.ix_(i, j)])
 
 
@@ -198,10 +199,7 @@ class PullbackMetric(GroundMetric):
 
     def _images(self, pts: Sequence[Point]) -> list[Point]:
         f = self.f
-        if not canonical_coordinates(pts):
-            pts = [as_point(p) for p in pts]
-        images = [f(p) for p in pts]
-        return images if canonical_coordinates(images) else [as_point(q) for q in images]
+        return as_points([f(p) for p in as_points(pts)])
 
     def pairwise(self, xs, ys):
         fx = self._images(xs)
@@ -239,7 +237,7 @@ class ZeroMetric(GroundMetric):
     kind = "zero"
 
     def pairwise(self, xs, ys):
-        return np.zeros((len(xs), len(ys)))
+        return np.zeros((len(as_points(xs)), len(as_points(ys))))
 
 
 def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
@@ -276,9 +274,7 @@ class GroundSpace:
     """
 
     def __init__(self, points: Iterable, metric: GroundMetric):
-        pts = tuple(points)
-        if not canonical_coordinates(pts):
-            pts = tuple(as_point(p) for p in pts)
+        pts = tuple(as_points(points))
         if not pts:
             raise ValueError("a ground space needs at least one point")
         dims = {len(p) for p in pts if not isinstance(p, str) and isinstance(p[0], float)}
@@ -299,7 +295,7 @@ class GroundSpace:
         return iter(self.points)
 
     def __contains__(self, p):
-        return self._index.find(as_point(p)) is not None
+        return self._index.find(p) is not None
 
     def __repr__(self):
         return f"<GroundSpace {len(self.points)} points, metric={self.metric.kind!r}>"
@@ -347,7 +343,7 @@ def validate_pseudometric(points: Sequence, metric: GroundMetric) -> None:
     violation, as :func:`_validate_matrix_axioms` orders them. The triangle
     check takes time cubic in the number of points.
     """
-    pts = [as_point(p) for p in points]
+    pts = as_points(points)
     if pts:
         _validate_matrix_axioms(metric.pairwise(pts, pts), pts)
 
@@ -376,7 +372,7 @@ def quotient(space: GroundSpace, p: GroundMetric) -> tuple[GroundSpace, Callable
         rep_of.append(r)
 
     def projection(x) -> Point:
-        i = space._index.find(as_point(x))
+        i = space._index.find(x)
         if i is None:
             raise ValueError(f"point {x!r} does not belong to the quotient domain")
         return pts[rep_of[i]]
@@ -421,7 +417,7 @@ def metric_from_spec(spec) -> GroundMetric:
     if kind == "table":
         if "points" not in spec or "d" not in spec:
             raise ValueError("table metric spec needs 'points' and 'd'")
-        points = _spec_field(spec, "points", lambda pts: [as_point(p) for p in pts])
+        points = _spec_field(spec, "points", as_points)
         d = _spec_field(spec, "d", lambda d: np.array([[*map(json_number, r)] for r in d]))
         return TableMetric(points, d, cap=cap)
     if kind == "pullback":

@@ -39,7 +39,7 @@ from .monad import (
     reweight_series_check,
     second_order_distance,
 )
-from .points import Point, as_point, coordinates
+from .points import Point, coordinates
 from .transport import kantorovich, mass_transport_bound_check
 
 # ---------------------------------------------------------------------------
@@ -271,7 +271,7 @@ def algebra_deviations(space: ConvexSpace, sample: AlgebraSample) -> tuple[float
             b = barycenter(space, dirac(x))
             unit.append(float(np.abs(coordinates(b) - coordinates(x)).max()))
         lhs = coordinates(barycenter(target, pushforward(f, mu)))
-        rhs = coordinates(as_point(f(barycenter(space, mu))))
+        rhs = coordinates(f(barycenter(space, mu)))
         morphism.append(float(np.abs(lhs - rhs).max()))
     via_flatten = barycenter(space, flatten(M))
     means = [barycenter(space, mu) for mu in M.support]

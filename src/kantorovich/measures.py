@@ -26,7 +26,7 @@ from .points import (
     Point,
     PointIndex,
     as_point,
-    canonical_coordinates,
+    as_points,
     is_finite,
     json_number,
     point_to_json,
@@ -69,7 +69,7 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     atoms = list(atoms)
     # the atom kind is decided once, by the first atom
     of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
-    pts = atoms if of_measures or canonical_coordinates(atoms) else [as_point(a) for a in atoms]
+    pts = atoms if of_measures else as_points(atoms)
     # an iterator becomes a list; a scalar is left to the shape check
     if not isinstance(weights, np.ndarray) and isinstance(weights, Iterable):
         weights = list(weights)
@@ -147,8 +147,6 @@ class SubProbabilityMeasure:
 
     def index_of(self, atom) -> int | None:
         """Position of the earliest support atom equal to ``atom``, if any."""
-        if not isinstance(self._index, MeasureIndex):
-            atom = as_point(atom)
         return self._index.find(atom)
 
     def weight_of(self, atom) -> float:
@@ -274,8 +272,6 @@ def decompose(
     for i in sorted(groups):
         idx = groups[i]
         eps = float(mu.weights[idx].sum())
-        if eps == 0.0:
-            continue
         out.append((eps, FiniteMeasure([mu.support[a] for a in idx], mu.weights[idx] / eps)))
     return out
 

@@ -7,9 +7,10 @@ A point is one of three shapes:
 * a product point: a tuple whose entries are themselves points, as
   produced by tensor products and couplings.
 
-All public constructors canonicalize their inputs through :func:`as_point`,
-so the rest of the library can assume points are already in one of these
-shapes. Coordinate comparison is tolerant (``COORD_TOL``) because
+Points are canonicalized in this module alone: by :func:`as_point`, by
+:func:`as_points` for a list and by :class:`PointIndex` lookups for their
+query, so the rest of the library can assume points are already in one of
+these shapes. Coordinate comparison is tolerant (``COORD_TOL``) because
 pushforwards of float coordinates produce near-duplicates.
 :class:`PointIndex` finds tolerant matches through hash buckets instead of
 a scan over every stored point: a point near a cell edge is filed under
@@ -63,15 +64,18 @@ def as_point(obj: Any) -> Point:
     raise TypeError(f"cannot interpret {obj!r} as a point")
 
 
-def canonical_coordinates(pts: Sequence) -> bool:
-    """True when every entry of ``pts`` is a nonempty tuple of floats, of
-    exactly those types: a coordinate point that :func:`as_point` returns
-    as it is."""
-    return (
-        _TUPLE.issuperset(map(type, pts))
+def as_points(pts: Iterable) -> Sequence[Point]:
+    """``pts`` itself when it is a list or tuple of nonempty tuples of
+    floats, of exactly those types, which :func:`as_point` returns as they
+    are; else the list of its entries through :func:`as_point`."""
+    if (
+        type(pts) in (list, tuple)
+        and _TUPLE.issuperset(map(type, pts))
         and all(pts)
         and _FLOAT.issuperset(map(type, chain.from_iterable(pts)))
-    )
+    ):
+        return pts
+    return [as_point(p) for p in pts]
 
 
 def is_coordinate(p: Point) -> bool:
@@ -216,8 +220,9 @@ class PointIndex:
                 bucket.append(i)
         return i
 
-    def matches(self, p: Point) -> list[int]:
-        """Positions of every stored point equal to ``p``, ascending."""
+    def matches(self, p) -> list[int]:
+        """Positions of every stored point equal to ``as_point(p)``, ascending."""
+        p = as_point(p)
         try:
             key = _cells(p)[0]
         except ValueError:
@@ -225,7 +230,7 @@ class PointIndex:
         pts = self.points
         return [i for i in self._buckets.get(key, ()) if points_equal(p, pts[i])]
 
-    def find(self, p: Point) -> int | None:
+    def find(self, p) -> int | None:
         """Position of the earliest stored point equal to ``p``, if any."""
         return next(iter(self.matches(p)), None)
 

@@ -550,6 +550,26 @@ def test_pairwise_canonicalizes_other_point_forms():
         Manhattan()("a", "b")
 
 
+def test_every_metric_rejects_malformed_points():
+    # the zero metric reads no coordinate, yet it refuses what is no point
+    assert ZeroMetric().pairwise([0, "a"], [[1, 2]]).shape == (2, 1)
+    table = TableMetric([(0.0,), (1.0,)], [[0.0, 1.0], [1.0, 0.0]])
+    for m in [
+        ZeroMetric(),
+        MaxMetric([ZeroMetric()]),
+        Euclidean(),
+        Discrete(),
+        table,
+        PullbackMetric(lambda p: p, Manhattan()),
+    ]:
+        with pytest.raises(TypeError, match="a boolean is not a point"):
+            m.pairwise([True], [object()])
+        with pytest.raises(TypeError, match="cannot interpret"):
+            m.pairwise([object()], [None])
+        with pytest.raises(TypeError, match="a boolean is not a point"):
+            m((0.0,), True)
+
+
 def test_metric_defining_only_raw_works_everywhere():
     class FirstCoordinate(GroundMetric):
         def _raw(self, x, y):

@@ -287,3 +287,15 @@ def test_non_finite_coordinates_are_rejected_on_insertion_only():
     # finite coordinates too large to scale into cells still index
     big = (1.5e302, 1.0)
     assert PointIndex([big]).find((1.5e302, 1.0 + COORD_TOL / 2)) == 0
+
+
+def test_lookups_canonicalize_the_query():
+    index = PointIndex([(0.0, 1.0)])
+    assert index.find([0, 1]) == 0
+    assert index.find(np.array([0.0, 1.0])) == 0
+    assert index.matches((0, 1.0 + COORD_TOL / 2)) == [0]
+    with pytest.raises(ValueError, match="a point cannot be empty"):
+        index.find([])
+    with pytest.raises(TypeError, match="a boolean is not a point"):
+        index.find(True)
+    assert index.find((math.nan, 0.0)) is None

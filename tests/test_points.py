@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from kantorovich.points import as_point, coordinates, is_coordinate, point_to_json, points_equal
+from kantorovich.points import (
+    as_point,
+    as_points,
+    coordinates,
+    is_coordinate,
+    point_to_json,
+    points_equal,
+)
 
 
 def test_canonical_forms():
@@ -56,3 +63,15 @@ def test_canonical_coordinate_point_returned_as_is():
     q = as_point((np.float64(1.0),))
     assert q == (1.0,) and all(type(e) is float for e in q)
     assert as_point((1, 2.5)) == (1.0, 2.5)
+
+
+def test_canonical_point_list_returned_as_is():
+    pts = [(0.5, 1.0), (2.0, 3.0)]
+    assert as_points(pts) is pts
+    assert as_points(tuple(pts)) == tuple(pts)
+    assert as_points([(0, 1), "a", [[0], [1]]]) == [(0.0, 1.0), "a", ((0.0,), (1.0,))]
+    # a one-shot iterable is read once, and a numpy array row by row
+    assert as_points(p for p in pts) == pts
+    assert as_points(np.array(pts)) == pts
+    with pytest.raises(TypeError, match="a boolean is not a point"):
+        as_points([(0.0,), True])
