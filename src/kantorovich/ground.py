@@ -254,8 +254,7 @@ def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
 
     def project(p):
         q = as_point(p)
-        # a canonical point is a coordinate point when its first entry is a float
-        if isinstance(q, str) or not isinstance(q[0], float):
+        if not is_coordinate(q):
             raise ValueError(f"cannot project non-coordinate point {p!r}")
         if len(q) < need:
             raise ValueError(f"projection indices {idx} out of range for {q!r}")
@@ -277,7 +276,7 @@ class GroundSpace:
         pts = tuple(as_points(points))
         if not pts:
             raise ValueError("a ground space needs at least one point")
-        dims = {len(p) for p in pts if not isinstance(p, str) and isinstance(p[0], float)}
+        dims = {len(p) for p in pts if is_coordinate(p)}
         if len(dims) > 1:
             raise ValueError(f"coordinate points must share one dimension, got {sorted(dims)}")
         self._index = _distinct_index(pts, "ground space points must be unique")

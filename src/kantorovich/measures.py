@@ -89,25 +89,21 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     # exact duplicates add up first; then each distinct atom, in order of
     # first appearance, adds its total to the earliest kept atom it equals
     index = MeasureIndex() if of_measures else PointIndex()
-    first: dict = {}
-    totals: list[float] = []
+    totals: dict = {}
     slots: list[int] = []
     for p, wi in zip(pts, ws):
         if wi == 0.0:
             # dropped, but still an input that must be a valid point
             if not (of_measures or is_finite(p)):
                 raise ValueError(f"coordinates must be finite, got {p!r}")
-            continue
-        k = first.setdefault(p, len(totals))
-        if k == len(totals):
-            totals.append(wi)
-            slots.append(index.find_or_add(p))
+        elif p in totals:
+            totals[p] += wi
         else:
-            totals[k] += wi
-    merged = [0.0] * len(index.points)
-    for i, t in zip(slots, totals):
-        merged[i] += t
-    return index, np.asarray(merged, dtype=float)
+            totals[p] = wi
+            slots.append(index.find_or_add(p))
+    # bincount adds in input order from 0.0, as a running sum would
+    merged = np.bincount(slots, weights=list(totals.values()), minlength=len(index.points))
+    return index, merged.astype(float, copy=False)
 
 
 class SubProbabilityMeasure:

@@ -79,8 +79,9 @@ def as_points(pts: Iterable) -> Sequence[Point]:
 
 
 def is_coordinate(p: Point) -> bool:
-    """True for canonical coordinate points (tuples of floats)."""
-    return isinstance(p, tuple) and all(isinstance(e, float) for e in p)
+    """True for canonical coordinate points (tuples of floats). A canonical
+    point's entries are all floats or all points, so the first decides."""
+    return not isinstance(p, str) and isinstance(p[0], float)
 
 
 def coordinates(p: Point) -> np.ndarray:
@@ -93,11 +94,9 @@ def coordinates(p: Point) -> np.ndarray:
 
 def is_finite(p: Point) -> bool:
     """False when a coordinate of ``p``, at any depth, is NaN or infinite."""
-    if isinstance(p, str):
-        return True
-    if isinstance(p[0], float):
+    if is_coordinate(p):
         return all(map(isfinite, p))
-    return all(map(is_finite, p))
+    return isinstance(p, str) or all(map(is_finite, p))
 
 
 def points_equal(p: Point, q: Point) -> bool:

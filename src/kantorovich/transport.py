@@ -461,6 +461,9 @@ def lipschitz_gap(
         raise ValueError(f"L must be finite and nonnegative, got {L!r}")
     pts = distinct_points([*mu.support, *eta.support])
     fx = np.array([float(f(p)) for p in pts])
+    for p, v in zip(pts, fx.tolist()):
+        if not isfinite(v):
+            raise ValueError(f"observable must be finite, got {v!r} at {p!r}")
     bad = np.abs(fx[:, None] - fx[None, :]) > L * space.metric.pairwise(pts, pts) + 1e-12
     # row-major over i < j: the order of itertools.combinations(pts, 2)
     hits = np.argwhere(np.triu(bad, 1))

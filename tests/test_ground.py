@@ -124,6 +124,11 @@ def test_max_with_zero_and_idempotence():
     assert same("x", "y") == d("x", "y")
 
 
+def test_max_combine_needs_a_pseudometric():
+    with pytest.raises(ValueError, match="^max combination needs at least one pseudometric$"):
+        MaxMetric([])
+
+
 def test_max_of_axis_distances_is_chebyshev():
     # pointwise comparison over a random sample of pairs
     p1 = PullbackMetric(coordinate_projection([0]), Euclidean())
@@ -237,6 +242,13 @@ def test_quotient_first_coordinate():
         for j, b in enumerate(q.points):
             if i != j:
                 assert q.metric(a, b) > GEOM_TOL
+
+
+def test_quotient_projection_rejects_a_point_outside_the_space():
+    space = GroundSpace([(0.0,), (1.0,)], Euclidean())
+    _, proj = quotient(space, Euclidean())
+    with pytest.raises(ValueError, match=r"^point \(5\.0,\) does not belong to the quotient domain$"):
+        proj((5.0,))
 
 
 def test_quotient_rejects_non_pseudometric():
@@ -427,6 +439,11 @@ def test_ground_space_invariants():
     space = GroundSpace([(0, 0), (3, 4), (1, 1)], Euclidean())
     assert space.diameter() == pytest.approx(5.0, abs=GEOM_TOL)
     assert (3.0, 4.0) in space and (9.0, 9.0) not in space
+
+
+def test_ground_space_needs_a_point():
+    with pytest.raises(ValueError, match="^a ground space needs at least one point$"):
+        GroundSpace([], Euclidean())
 
 
 def test_ground_space_rejects_points_equal_within_tolerance():

@@ -207,6 +207,13 @@ def test_second_order_json_round_trip():
         second_order_from_json({"measure": {}})
 
 
+def test_reweight_identity_rejects_weights_off_the_simplex():
+    pts = [(0.0,), (1.0,)]
+    for lam in ([1.5, -0.5], [0.5, 0.6]):
+        with pytest.raises(ValueError, match="^weights must be nonnegative and sum to 1$"):
+            reweight_series_check(pts, lam, 0, [1.0, 1.0])
+
+
 def test_reweight_identity_rejects_lists_of_unequal_length():
     pts = [(0.0,), (1.0,)]
     for lam, eps in (([0.5, 0.5, 0.0], [1.0, 1.0]), ([0.5, 0.5], [1.0])):
@@ -223,6 +230,11 @@ def test_reweight_identity_rejects_non_finite_entries():
         reweight_series_check(pts, [np.nan, 0.5], 1, [1.0, 1.0])
     with pytest.raises(ValueError, match="^eps must be finite"):
         reweight_series_check(pts, [0.5, 0.5], 0, [1.0, np.inf])
+    # a non-finite point returned False, or warned in the rewrite
+    with pytest.raises(ValueError, match="^points must be finite"):
+        reweight_series_check([(np.nan, 0.0), (1.0, 0.0)], [0.5, 0.5], 0, [1.0, 1.0])
+    with pytest.raises(ValueError, match="^points must be finite"):
+        reweight_series_check([(0.0, 0.0), (np.inf, 0.0)], [0.5, 0.5], 0, [1.0, 1.0])
 
 
 def test_second_order_distance_rejects_measures_of_points():

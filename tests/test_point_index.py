@@ -171,6 +171,13 @@ def test_merged_atoms_match_the_quadratic_scan(data):
     assert merged.tobytes() == expected.tobytes()
 
 
+def test_merged_atoms_are_float64_when_empty():
+    # np.bincount of no slots counts in int64
+    for pts, w in (([], []), ([(0.0,), (1.0,)], [0.0, 0.0])):
+        index, merged = _merged_atoms(pts, w)
+        assert index.points == [] and merged.dtype == np.float64 and merged.shape == (0,)
+
+
 def _outcome(merge, pts, w):
     try:
         index, merged = merge(pts, w)

@@ -583,6 +583,17 @@ def test_lipschitz_gap():
         lipschitz_gap(space, mu, eta, lambda p: 5.0 * p[0], L=1.0)
 
 
+def test_lipschitz_gap_rejects_a_non_finite_observable():
+    # NaN passed the pairwise test and came back as the gap; inf warned in
+    # the subtraction
+    space = line_space(0, 1)
+    mu, eta = dirac((0.0,)), dirac((1.0,))
+    with pytest.raises(ValueError, match=r"^observable must be finite, got nan at \(0\.0,\)$"):
+        lipschitz_gap(space, mu, eta, lambda p: np.nan, L=1.0)
+    with pytest.raises(ValueError, match=r"^observable must be finite, got inf at \(1\.0,\)$"):
+        lipschitz_gap(space, mu, eta, lambda p: np.inf if p[0] else 0.0, L=1.0)
+
+
 def test_lipschitz_gap_random_observables():
     rng = np.random.default_rng(31)
     for _ in range(25):
@@ -612,6 +623,14 @@ def test_mass_transport_bound_examples():
         space2, dirac((0.0,)), dirac((0.4,)), lambda p: p[0] == 0.0, eps=0.1, delta=0.1
     )
     assert na is None
+
+
+def test_mass_transport_bound_with_an_empty_k():
+    # no point is in K, so every distance to K is infinite and eta puts no
+    # mass near it; with eps = 3 the conclusion 0 >= 1 - eps still holds
+    space = line_space(0, 1)
+    mu = dirac((0.0,))
+    assert mass_transport_bound_check(space, mu, mu, lambda p: False, eps=3.0, delta=0.5) is True
 
 
 def test_mass_transport_bound_rejects_non_finite_parameters():
