@@ -20,7 +20,6 @@ from .points import (
     as_point,
     as_points,
     is_coordinate,
-    is_finite,
     json_number,
 )
 
@@ -130,13 +129,10 @@ class Discrete(GroundMetric):
 
     def pairwise(self, xs, ys):
         xs, ys = as_points(xs), as_points(ys)
-        # the index refuses a point with a non-finite coordinate, which
-        # equals no point, itself included
-        cols = [j for j, y in enumerate(ys) if is_finite(y)]
-        index = PointIndex([ys[j] for j in cols])
+        index = PointIndex(ys)
         same = np.zeros((len(xs), len(ys)), dtype=bool)
         for i, x in enumerate(xs):
-            same[i, [cols[k] for k in index.matches(x)]] = True
+            same[i, index.matches(x)] = True
         return self._capped(np.where(same, 0.0, 1.0))
 
 

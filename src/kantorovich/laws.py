@@ -241,9 +241,9 @@ def monad_deviations(sample: ThirdOrder) -> tuple[float, float, float, float]:
     return worst(outer), worst(inner), worst(second), measure_deviation(lhs, rhs)
 
 
-def _monad_laws(rng, s, space, tol):
+def _monad_laws(rng, s, points, tol):
     """Unit and associativity laws of flatten and dirac."""
-    return monad_deviations(random_third_order(rng, space.points))
+    return monad_deviations(random_third_order(rng, points))
 
 
 AlgebraSample = tuple[FiniteMeasure, Callable[[Point], Point], int]
@@ -495,7 +495,7 @@ LAWS = [
     Law(("coupling-distance-symmetry", "coupling-distance-triangle"), 1e-8, _metric_axioms),
     Law(("diameter-preservation",), 1e-9, _diameter_preservation),
     Law(("dirac-isometry",), 1e-12, _dirac_isometry),
-    Law(MONAD_LAWS, 1e-9, _monad_laws, lambda rng: random_space(rng, 10)),
+    Law(MONAD_LAWS, 1e-9, _monad_laws, lambda rng: random_points(rng, 10, 2)),
     Law(ALGEBRA_LAWS, 1e-9, _algebra_laws, lambda rng: random_points(rng, 10, 3)),
     Law(("isometric-embedding-preservation",), 1e-8, _isometry_preservation),
     Law(("nonexpanding-map-preservation",), 1e-9, _nonexpansion_preservation),

@@ -27,7 +27,6 @@ from .points import (
     PointIndex,
     as_point,
     as_points,
-    is_finite,
     json_number,
     point_to_json,
 )
@@ -62,9 +61,9 @@ class MeasureIndex(PointIndex):
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     """The support index and merged weights of ``atoms``, zero weights dropped.
 
-    Raises, in this order: on a malformed point, on weights that are not 1-D,
-    on a count mismatch, on mixed atom kinds, on a non-finite weight, on a
-    negative weight, then on a non-finite coordinate.
+    Raises, in this order: on a malformed point (a non-finite coordinate
+    included), on weights that are not 1-D, on a count mismatch, on mixed
+    atom kinds, on a non-finite weight, then on a negative weight.
     """
     atoms = list(atoms)
     # the atom kind is decided once, by the first atom
@@ -93,10 +92,8 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     slots: list[int] = []
     for p, wi in zip(pts, ws):
         if wi == 0.0:
-            # dropped, but still an input that must be a valid point
-            if not (of_measures or is_finite(p)):
-                raise ValueError(f"coordinates must be finite, got {p!r}")
-        elif p in totals:
+            continue
+        if p in totals:
             totals[p] += wi
         else:
             totals[p] = wi
@@ -191,7 +188,6 @@ def dirac(x) -> FiniteMeasure:
     else:
         x = as_point(x)
         index = PointIndex()
-    # rejects a non-finite coordinate, as the merge pass does
     index.find_or_add(x)
     mu = FiniteMeasure.__new__(FiniteMeasure)
     mu._store(index, np.ones(1))

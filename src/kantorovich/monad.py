@@ -126,7 +126,7 @@ def reweight_series_check(
     n = len(xs)
     if len(lam) != n or len(eps) != n:
         raise ValueError("points, weights, and epsilons must have equal length")
-    for name, arr in (("lam", lam), ("eps", eps), ("points", xs)):
+    for name, arr in (("lam", lam), ("eps", eps)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
     if (lam < 0).any() or abs(lam.sum() - 1.0) > WEIGHT_TOL:

@@ -7,10 +7,14 @@ A point is one of three shapes:
 * a product point: a tuple whose entries are themselves points, as
   produced by tensor products and couplings.
 
-Points are canonicalized in this module alone: by :func:`as_point`, by
-:func:`as_points` for a list and by :class:`PointIndex` lookups for their
-query, so the rest of the library can assume points are already in one of
-these shapes. Coordinate comparison is tolerant (``COORD_TOL``) because
+Points are canonicalized and validated in this module alone: by
+:func:`as_point`, by :func:`as_points` for a list, and by
+:class:`PointIndex` lookups and :func:`points_equal` for their arguments,
+so the rest of the library can assume points are already in one of these
+shapes. A coordinate that is NaN or infinite is at no distance from
+anything, so a point that has one is not a point: canonicalization raises
+``ValueError("coordinates must be finite, got <point>")``. Coordinate
+comparison is tolerant (``COORD_TOL``) because
 pushforwards of float coordinates produce near-duplicates.
 :class:`PointIndex` finds tolerant matches through hash buckets instead of
 a scan over every stored point: a point near a cell edge is filed under
@@ -42,16 +46,18 @@ def as_point(obj: Any) -> Point:
     Strings stay labels, numbers become 1-dimensional coordinate points,
     sequences of numbers become coordinate tuples, and any other sequence
     becomes a product point with each entry canonicalized recursively.
-    A canonical coordinate point is returned as it is.
+    A canonical coordinate point is returned as it is. A coordinate that is
+    NaN or infinite raises ``ValueError``.
     """
-    if type(obj) is tuple and obj and _FLOAT.issuperset(map(type, obj)):
+    if type(obj) is tuple and obj and _FLOAT.issuperset(map(type, obj)) and all(map(isfinite, obj)):
         return obj
+    # a tuple of floats that is not finite reaches _finite below
     if isinstance(obj, str):
         return obj
     if isinstance(obj, bool):
         raise TypeError("a boolean is not a point")
     if isinstance(obj, _NUMBER_TYPES):
-        return (float(obj),)
+        return _finite((float(obj),))
     if isinstance(obj, np.ndarray):
         # a 0-d array's list form is a number
         return as_point(obj.tolist())
@@ -59,20 +65,28 @@ def as_point(obj: Any) -> Point:
         if len(obj) == 0:
             raise ValueError("a point cannot be empty")
         if all(isinstance(e, _NUMBER_TYPES) and not isinstance(e, bool) for e in obj):
-            return tuple(float(e) for e in obj)
+            return _finite(tuple(float(e) for e in obj))
         return tuple(as_point(e) for e in obj)
     raise TypeError(f"cannot interpret {obj!r} as a point")
 
 
+def _finite(p: tuple) -> tuple:
+    """The coordinate point ``p`` if all its coordinates are finite."""
+    if all(map(isfinite, p)):
+        return p
+    raise ValueError(f"coordinates must be finite, got {p!r}")
+
+
 def as_points(pts: Iterable) -> Sequence[Point]:
     """``pts`` itself when it is a list or tuple of nonempty tuples of
-    floats, of exactly those types, which :func:`as_point` returns as they
-    are; else the list of its entries through :func:`as_point`."""
+    finite floats, of exactly those types, which :func:`as_point` returns
+    as they are; else the list of its entries through :func:`as_point`."""
     if (
         type(pts) in (list, tuple)
         and _TUPLE.issuperset(map(type, pts))
         and all(pts)
         and _FLOAT.issuperset(map(type, chain.from_iterable(pts)))
+        and all(map(isfinite, chain.from_iterable(pts)))
     ):
         return pts
     return [as_point(p) for p in pts]
@@ -92,19 +106,17 @@ def coordinates(p: Point) -> np.ndarray:
     return np.asarray(q, dtype=float)
 
 
-def is_finite(p: Point) -> bool:
-    """False when a coordinate of ``p``, at any depth, is NaN or infinite."""
-    if is_coordinate(p):
-        return all(map(isfinite, p))
-    return isinstance(p, str) or all(map(is_finite, p))
-
-
-def points_equal(p: Point, q: Point) -> bool:
-    """Point identity: label equality, or coordinates within ``COORD_TOL``.
+def points_equal(p, q) -> bool:
+    """Point identity of ``as_point(p)`` and ``as_point(q)``: label
+    equality, or coordinates within ``COORD_TOL``.
 
     Product points compare entrywise. Points of different shapes are
     never equal.
     """
+    return _points_equal(as_point(p), as_point(q))
+
+
+def _points_equal(p: Point, q: Point) -> bool:
     if isinstance(p, str) or isinstance(q, str):
         return p == q
     if len(p) != len(q):
@@ -114,7 +126,7 @@ def points_equal(p: Point, q: Point) -> bool:
         return False
     if p_coord:
         return all(abs(a - b) <= COORD_TOL for a, b in zip(p, q))
-    return all(points_equal(a, b) for a, b in zip(p, q))
+    return all(map(_points_equal, p, q))
 
 
 def point_to_json(p: Point):
@@ -154,8 +166,7 @@ def _cells(p: Point) -> tuple:
     A coordinate point's own key is its coordinates rounded to multiples of
     ``CELL``; a coordinate within ``2 * COORD_TOL`` of a cell edge adds the
     neighbouring cell across that edge. A label is its own key, and a
-    product point's keys are the products of its entries' keys. Raises
-    ``ValueError`` on a non-finite coordinate.
+    product point's keys are the products of its entries' keys.
     """
     if isinstance(p, str):
         return (p,)
@@ -167,9 +178,7 @@ def _cells(p: Point) -> tuple:
         y = x * _SCALE
         try:
             k = floor(y)
-        except (ValueError, OverflowError):
-            if not isfinite(x):
-                raise ValueError(f"coordinates must be finite, got {p!r}") from None
+        except OverflowError:
             # floats this large are far more than COORD_TOL apart
             key.append(x)
             continue
@@ -195,8 +204,9 @@ class PointIndex:
     own key: two equal points in neighbouring cells both lie within
     ``COORD_TOL`` of their shared edge. A lookup reads that one bucket and
     returns what a scan over the stored points with :func:`points_equal`
-    would return, in the same order. Points with a non-finite coordinate
-    are rejected on insertion and match nothing on lookup.
+    would return, in the same order. The index stores canonical points;
+    a lookup canonicalizes its query, so a value that is not a point, a
+    non-finite coordinate included, raises as :func:`as_point` does.
     """
 
     __slots__ = ("points", "_buckets")
@@ -222,12 +232,8 @@ class PointIndex:
     def matches(self, p) -> list[int]:
         """Positions of every stored point equal to ``as_point(p)``, ascending."""
         p = as_point(p)
-        try:
-            key = _cells(p)[0]
-        except ValueError:
-            return []
         pts = self.points
-        return [i for i in self._buckets.get(key, ()) if points_equal(p, pts[i])]
+        return [i for i in self._buckets.get(_cells(p)[0], ()) if points_equal(p, pts[i])]
 
     def find(self, p) -> int | None:
         """Position of the earliest stored point equal to ``p``, if any."""

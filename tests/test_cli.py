@@ -256,13 +256,15 @@ def test_nan_table_distance_exits_2_without_hanging(tmp_path):
 @pytest.mark.parametrize("coordinate", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("w", ["1.0", "0.0"])
 def test_non_finite_coordinate_exits_2(tmp_path, capsys, coordinate, w):
-    # a zero-weight atom is dropped, but its point must still be valid
-    atoms = f'{{"point": [{coordinate}], "w": {w}}}, {{"point": [0], "w": {1.0 - float(w)}}}'
+    # a zero-weight atom is dropped, but its point must still be valid; the
+    # loader's error names the atom and the point
+    atoms = f'{{"point": [0, {coordinate}], "w": {w}}}, {{"point": [0, 0], "w": {1.0 - float(w)}}}'
     bad = _write(tmp_path, "bad_point.json", f'{{"atoms": [{atoms}]}}')
     ok = str(FIX / "delta0.json")
     assert main(["dist", bad, ok, "--metric", "euclidean"]) == 2
     captured = capsys.readouterr()
-    assert "coordinates must be finite" in captured.err and captured.out == ""
+    assert captured.err == f"error: atom 0: coordinates must be finite, got (0.0, {float(coordinate)!r})\n"
+    assert captured.out == ""
 
 
 def test_null_outer_weight_exits_2(tmp_path, capsys):

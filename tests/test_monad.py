@@ -231,9 +231,9 @@ def test_reweight_identity_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="^eps must be finite"):
         reweight_series_check(pts, [0.5, 0.5], 0, [1.0, np.inf])
     # a non-finite point returned False, or warned in the rewrite
-    with pytest.raises(ValueError, match="^points must be finite"):
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got \(nan, 0\.0\)$"):
         reweight_series_check([(np.nan, 0.0), (1.0, 0.0)], [0.5, 0.5], 0, [1.0, 1.0])
-    with pytest.raises(ValueError, match="^points must be finite"):
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got \(inf, 0\.0\)$"):
         reweight_series_check([(0.0, 0.0), (np.inf, 0.0)], [0.5, 0.5], 0, [1.0, 1.0])
 
 
