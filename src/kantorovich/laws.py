@@ -39,7 +39,7 @@ from .monad import (
     reweight_series_check,
     second_order_distance,
 )
-from .points import Point, coordinates
+from .points import Point, coordinates, points_equal
 from .transport import kantorovich, mass_transport_bound_check
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,7 @@ def make_mass_transport_instance(rng, points: Sequence):
         acc += float(mu.weights[i])
         if acc >= 1.0 - eps / 2.0:
             break
-    K = lambda p: any(p == q for q in k_atoms)  # noqa: E731
+    K = lambda p: any(points_equal(p, q) for q in k_atoms)  # noqa: E731
     return space, mu, eta, K, eps, delta
 
 

@@ -78,7 +78,7 @@ def second_order_distance(
     The ground cost between two inner measures is their coupling distance
     over ``space``. The inner distance matrix is solved as
     :func:`~kantorovich.transport.kantorovich` solves its cost matrix: an
-    inner measure that is the same object in both keeps its mass in place.
+    inner measure that both hold (under ``measures_equal``) keeps its mass.
     """
     for name, outer in (("M", M), ("N", N)):
         if not isinstance(outer.support[0], FiniteMeasure):

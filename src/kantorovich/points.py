@@ -9,7 +9,7 @@ A point is one of three shapes:
 
 Points are canonicalized and validated in this module alone: by
 :func:`as_point`, by :func:`as_points` for a list, and by
-:class:`PointIndex` lookups and :func:`points_equal` for their arguments,
+:class:`PointIndex`, :func:`distinct_points` and :func:`points_equal`,
 so the rest of the library can assume points are already in one of these
 shapes. A coordinate that is NaN or infinite is at no distance from
 anything, so a point that has one is not a point: canonicalization raises
@@ -204,17 +204,17 @@ class PointIndex:
     own key: two equal points in neighbouring cells both lie within
     ``COORD_TOL`` of their shared edge. A lookup reads that one bucket and
     returns what a scan over the stored points with :func:`points_equal`
-    would return, in the same order. The index stores canonical points;
-    a lookup canonicalizes its query, so a value that is not a point, a
-    non-finite coordinate included, raises as :func:`as_point` does.
+    would return, in the same order. The constructor and the lookups
+    canonicalize their points, so a value that is not a point, a non-finite
+    coordinate included, raises as :func:`as_point` does.
     """
 
     __slots__ = ("points", "_buckets")
 
-    def __init__(self, points: Iterable[Point] = ()):
+    def __init__(self, points: Iterable[Point] | None = None):
         self.points: list[Point] = []
         self._buckets: dict[Hashable, list[int]] = {}
-        for p in points:
+        for p in () if points is None else as_points(points):
             self._insert(p, _cells(p))
 
     def _insert(self, p: Point, cells: tuple) -> int:
@@ -240,8 +240,8 @@ class PointIndex:
         return next(iter(self.matches(p)), None)
 
     def find_or_add(self, p: Point) -> int:
-        """Position of the earliest stored point equal to ``p``; stores ``p``
-        first when there is none."""
+        """Position of the earliest stored point equal to ``p``, which must
+        be canonical and is not checked; stores ``p`` first when there is none."""
         cells = _cells(p)
         pts = self.points
         for i in self._buckets.get(cells[0], ()):
@@ -251,8 +251,8 @@ class PointIndex:
 
 
 def distinct_points(points: Iterable[Point]) -> list[Point]:
-    """The points that equal no earlier kept point, in input order."""
+    """The points of ``as_points(points)`` that equal no earlier kept one."""
     index = PointIndex()
-    for p in points:
+    for p in as_points(points):
         index.find_or_add(p)
     return index.points

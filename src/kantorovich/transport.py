@@ -327,8 +327,8 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
 
     Mass that both measures put on one atom stays in place: for a
     pseudometric the distance depends only on ``mu - eta``, so the shared
-    mass ``min(mu(x), eta(x))`` of an atom ``x`` in both supports (equal
-    points, compared exactly) costs nothing, and the simplex solves only
+    mass ``min(mu(x), eta(x))`` of an atom ``x`` in both supports (equal as
+    atoms merge within one measure) need not move, and the simplex solves only
     the rows and columns left with mass. The assembled plan is certified
     in O(mn) by the residual solve's dual potentials, extended to the whole
     problem (:func:`_plan_around_shared_mass`). When the certificate fails
@@ -359,12 +359,12 @@ def _plan_around_shared_mass(
     atom's common mass on its diagonal cell and solves the rest, or
     ``None`` when the supports share no atom, when a cost is not finite,
     when no side or only one is left with mass to move, or when the
-    certificate fails; a measure atom is shared only as the same object."""
-    col_of = {y: j for j, y in enumerate(eta.support)}
-    shared = [(i, col_of[x]) for i, x in enumerate(mu.support) if x in col_of]
+    certificate fails. Atoms are shared as they merge in a measure, through
+    ``eta.index_of``; a column that two rows equal goes to the later row."""
+    shared = {j: i for i, x in enumerate(mu.support) if (j := eta.index_of(x)) is not None}
     if not shared or not np.isfinite(C).all():
         return None  # the full solve reports a non-finite cost
-    i, j = np.array(shared).T
+    j, i = np.array([*shared.items()]).T
     a, b = mu.weights.copy(), eta.weights.copy()
     kept = np.minimum(a[i], b[j])
     a[i] -= kept

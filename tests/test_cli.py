@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kantorovich
-from kantorovich import transport
+from kantorovich import Euclidean, GroundSpace, second_order_from_json, transport
 from kantorovich.cli import main
+from kantorovich.points import distinct_points
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -90,6 +92,45 @@ def test_dist2_and_lift_values(tmp_path):
     assert d2["cost"] == pytest.approx(1.5)
     lift = json.loads(run_to_bytes(GOLDEN_COMMANDS[9], tmp_path, "l"))
     assert lift == {"p_tau": 0.0}
+
+
+def _inner(points, weights):
+    return {"atoms": [{"point": p, "w": w} for p, w in zip(points, weights)]}
+
+
+def test_dist2_shares_the_inner_measures_written_in_both_files(tmp_path, monkeypatch):
+    # A and B are written out in both files, so each load makes its own
+    # copies; they equal as atoms do and keep their common outer mass (0.3
+    # and 0.1), which leaves the three rows and the column of D to solve
+    A = _inner([[0, 0], [1, 0], [0, 1]], [0.5, 0.25, 0.25])
+    B = _inner([[2, 2], [3, 1], [2, 0]], [0.2, 0.3, 0.5])
+    C = _inner([[4, 0], [0, 4], [1, 1]], [0.6, 0.2, 0.2])
+    D = _inner([[3, 3], [1, 3], [2, 1]], [0.4, 0.4, 0.2])
+    files = []
+    for tag, parts in (("M", [(A, 0.5), (B, 0.25), (C, 0.25)]), ("N", [(B, 0.1), (A, 0.3), (D, 0.6)])):
+        path = tmp_path / f"{tag}.json"
+        path.write_text(json.dumps({"atoms": [{"measure": m, "w": w} for m, w in parts]}))
+        files.append(str(path))
+    solves = []
+    solve = transport.solve_transport
+
+    def recorded(C, a, b):
+        solves.append(C.shape)
+        return solve(C, a, b)
+
+    monkeypatch.setattr(transport, "solve_transport", recorded)
+    out = json.loads(run_to_bytes(["dist2", *files, "--metric", "euclidean"], tmp_path, "d2"))
+    # the inner solves come first, and the outer one last
+    assert solves[-1] == (3, 1)
+    gamma = np.array(out["gamma"])
+    assert gamma[0, 1] == 0.3 and gamma[1, 0] == 0.1
+    assert np.abs(gamma.sum(axis=1) - [0.5, 0.25, 0.25]).max() <= 1e-12
+    assert np.abs(gamma.sum(axis=0) - [0.1, 0.3, 0.6]).max() <= 1e-12
+    # the whole outer solve of the inner-distance matrix
+    M, N = (second_order_from_json(json.loads(Path(f).read_text())) for f in files)
+    space = GroundSpace(distinct_points([p for m in (*M.support, *N.support) for p in m.support]), Euclidean())
+    dists = np.array([[transport.kantorovich(space, m, n).cost for n in N.support] for m in M.support])
+    assert abs(out["cost"] - solve(dists, M.weights, N.weights)[0]) <= transport.COST_TOL
 
 
 def test_laws_command_deterministic_and_green(tmp_path):

@@ -298,3 +298,17 @@ def test_lookups_canonicalize_the_query():
         index.find([])
     with pytest.raises(TypeError, match="a boolean is not a point"):
         index.find(True)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_the_constructor_canonicalizes_and_rejects_non_finite_points(bad):
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got "):
+        PointIndex([(bad,)])
+    assert PointIndex([(0, 1), [2, 3.0]]).points == [(0.0, 1.0), (2.0, 3.0)]
+
+
+def test_distinct_points_canonicalize_their_input():
+    assert distinct_points([(0, 1), (0.0, 1.0)]) == [(0.0, 1.0)]
+    assert distinct_points(p for p in [(0, 1), (0.0, 1.0 + COORD_TOL / 2)]) == [(0.0, 1.0)]
+    with pytest.raises(ValueError, match=r"^coordinates must be finite, got \(nan,\)$"):
+        distinct_points([(0.0,), (math.nan,)])

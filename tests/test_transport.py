@@ -715,8 +715,8 @@ def test_a_failed_certificate_falls_back_to_the_full_solve(monkeypatch):
 
 
 def test_a_second_order_pair_keeps_the_mass_of_its_shared_inner_measures(monkeypatch):
-    # M and N hold the inner measures a, b and c as the same objects; measures
-    # hash by identity, so the outer solve keeps their common mass in place
+    # M and N hold the inner measures a, b and c, so the outer solve keeps
+    # their common mass in place
     rng = np.random.default_rng(3)
     space = GroundSpace([tuple(p) for p in rng.random((12, 2))], Euclidean())
     a, b, c, d, e = (random_measure(rng, space.points, 4) for _ in range(5))
@@ -734,6 +734,55 @@ def test_a_second_order_pair_keeps_the_mass_of_its_shared_inner_measures(monkeyp
     linprog = pytest.importorskip("scipy.optimize").linprog
     tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
     assert abs(r.cost - _highs_cost(linprog, D, M.weights, N.weights, "highs-ds", tight)) <= 1e-12
+
+
+# five planar points of a ground space; (1e-13, 0) equals the first within
+# COORD_TOL, so the space cannot hold it too
+_NEAR = [(0.0, 0.0), (1.0, 0.0), (0.0, 2.0), (3.0, 1.0), (1.0, 2.0)]
+_NEAR_TABLE = np.linalg.norm(np.array(_NEAR)[:, None] - np.array(_NEAR)[None], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [Euclidean(), Manhattan(), Discrete(), TableMetric(_NEAR, _NEAR_TABLE)],
+    ids=lambda metric: metric.kind,
+)
+def test_points_equal_within_the_tolerance_share_their_mass(monkeypatch, metric):
+    # (0, 0) and (1e-13, 0) are one atom, as they would be in one measure:
+    # the common mass 0.25 stays on their cell, and rows 0-2 and columns 1-2
+    # are left with mass
+    space = GroundSpace(_NEAR, metric)
+    mu = FiniteMeasure(_NEAR[:3], [0.5, 0.25, 0.25])
+    eta = FiniteMeasure([(1e-13, 0.0), *_NEAR[3:]], [0.25, 0.5, 0.25])
+    solves = _recorded_solves(monkeypatch)
+    r = kantorovich(space, mu, eta)
+    [(shape, _)] = solves
+    assert shape == (3, 2)
+    assert r.coupling.gamma[0, 0] == 0.25
+    assert r.coupling.check_marginals(mu, eta)
+    C = cost_matrix(space, mu.support, eta.support)
+    assert abs(r.cost - solve_transport(C, mu.weights, eta.weights)[0]) <= COST_TOL
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    assert abs(r.cost - _highs_cost(linprog, C, mu.weights, eta.weights, "highs-ds", tight)) <= COST_TOL
+
+
+def test_a_column_that_two_rows_equal_is_shared_once(monkeypatch):
+    # the tolerance is not transitive: 0 and 1.6e-12 are two atoms of mu, and
+    # both equal 0.8e-12 in eta. The later row keeps that column's common
+    # mass 0.3, and rows 0, 2 and all three columns are left with mass
+    space = line_space(0.0, 1.6e-12, 1.0, 2.0, 3.0)
+    mu = FiniteMeasure([(0.0,), (1.6e-12,), (1.0,)], [0.3, 0.3, 0.4])
+    eta = FiniteMeasure([(0.8e-12,), (2.0,), (3.0,)], [0.5, 0.25, 0.25])
+    assert (eta.index_of(mu.support[0]), eta.index_of(mu.support[1])) == (0, 0)
+    solves = _recorded_solves(monkeypatch)
+    r = kantorovich(space, mu, eta)
+    [(shape, _)] = solves
+    assert shape == (2, 3)
+    assert r.coupling.gamma[1, 0] == 0.3
+    assert r.coupling.check_marginals(mu, eta)
+    C = cost_matrix(space, mu.support, eta.support)
+    assert abs(r.cost - solve_transport(C, mu.weights, eta.weights)[0]) <= COST_TOL
 
 
 def test_two_atoms_a_side_take_the_closed_form_whole_under_a_broken_triangle(monkeypatch):
