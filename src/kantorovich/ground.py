@@ -44,7 +44,13 @@ def _coord_array(pts: Sequence[Point], kind: str) -> np.ndarray:
         bad = [p for p in canon if not is_coordinate(p)]
         if bad:
             raise ValueError(f"{kind} metric requires coordinate points, got {bad[0]!r}")
-    return np.array(canon, dtype=float)
+    try:
+        return np.array(canon, dtype=float)
+    except ValueError:  # numpy's error on a ragged list
+        other = next(p for p in canon if len(p) != len(canon[0]))
+        raise ValueError(
+            f"{kind} metric requires points of one dimension, got {canon[0]!r} and {other!r}"
+        ) from None
 
 
 class GroundMetric:
@@ -383,6 +389,14 @@ _SIMPLE_KINDS = {
     "zero": ZeroMetric,
 }
 
+#: The fields each kind of metric spec reads besides ``kind`` and ``cap``.
+_SPEC_FIELDS = {
+    **dict.fromkeys(_SIMPLE_KINDS, ()),
+    "table": ("points", "d"),
+    "pullback": ("coords", "inner"),
+    "max": ("of",),
+}
+
 
 def metric_from_spec(spec) -> GroundMetric:
     """Build a metric from its JSON description.
@@ -406,12 +420,19 @@ def metric_from_spec(spec) -> GroundMetric:
         raise ValueError("metric spec is missing 'kind'")
     if not isinstance(kind, str):
         raise ValueError(f"metric spec 'kind' must be a string, got {kind!r}")
+    if kind not in _SPEC_FIELDS:
+        raise ValueError(f"unknown metric kind {kind!r}")
+    for field in spec:
+        if field not in ("kind", "cap", *_SPEC_FIELDS[kind]):
+            raise ValueError(f"metric spec {field!r}: a {kind} metric spec has no such field")
     cap = None if spec.get("cap") is None else _spec_field(spec, "cap", json_number)
     if kind in _SIMPLE_KINDS:
         return _SIMPLE_KINDS[kind](cap=cap)
     if kind == "table":
         if "points" not in spec or "d" not in spec:
             raise ValueError("table metric spec needs 'points' and 'd'")
+        if not isinstance(spec["points"], list):
+            raise ValueError(f"metric spec 'points' must be a list, got {spec['points']!r}")
         points = _spec_field(spec, "points", as_points)
         d = _spec_field(spec, "d", lambda d: np.array([[*map(json_number, r)] for r in d]))
         return TableMetric(points, d, cap=cap)
@@ -420,12 +441,11 @@ def metric_from_spec(spec) -> GroundMetric:
             raise ValueError("pullback metric spec needs 'coords' and 'inner'")
         inner = metric_from_spec(spec["inner"])
         return PullbackMetric(_spec_field(spec, "coords", coordinate_projection), inner, cap=cap)
-    if kind == "max":
-        if "of" not in spec or not spec["of"]:
-            raise ValueError("max metric spec needs a nonempty 'of' list")
-        parts = _spec_field(spec, "of", lambda of: [metric_from_spec(s) for s in of])
-        return MaxMetric(parts, cap=cap)
-    raise ValueError(f"unknown metric kind {kind!r}")
+    # the one kind left is max
+    if "of" not in spec or not spec["of"]:
+        raise ValueError("max metric spec needs a nonempty 'of' list")
+    parts = _spec_field(spec, "of", lambda of: [metric_from_spec(s) for s in of])
+    return MaxMetric(parts, cap=cap)
 
 
 def _spec_field(spec: dict, name: str, convert: Callable):

@@ -65,7 +65,8 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     included), on weights that are not 1-D, on a count mismatch, on mixed
     atom kinds, on a non-finite weight, then on a negative weight.
     """
-    atoms = list(atoms)
+    # a string stays whole, for as_points to reject: a label is one point
+    atoms = atoms if isinstance(atoms, str) else list(atoms)
     # the atom kind is decided once, by the first atom
     of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
     pts = atoms if of_measures else as_points(atoms)

@@ -80,7 +80,8 @@ def _finite(p: tuple) -> tuple:
 def as_points(pts: Iterable) -> Sequence[Point]:
     """``pts`` itself when it is a list or tuple of nonempty tuples of
     finite floats, of exactly those types, which :func:`as_point` returns
-    as they are; else the list of its entries through :func:`as_point`."""
+    as they are; else the list of its entries through :func:`as_point`.
+    A string raises ``TypeError``: a label is one point, not a list."""
     if (
         type(pts) in (list, tuple)
         and _TUPLE.issuperset(map(type, pts))
@@ -89,6 +90,8 @@ def as_points(pts: Iterable) -> Sequence[Point]:
         and all(map(isfinite, chain.from_iterable(pts)))
     ):
         return pts
+    if isinstance(pts, str):
+        raise TypeError(f"expected a list of points, got the string {pts!r}")
     return [as_point(p) for p in pts]
 
 
@@ -205,8 +208,9 @@ class PointIndex:
     ``COORD_TOL`` of their shared edge. A lookup reads that one bucket and
     returns what a scan over the stored points with :func:`points_equal`
     would return, in the same order. The constructor and the lookups
-    canonicalize their points, so a value that is not a point, a non-finite
-    coordinate included, raises as :func:`as_point` does.
+    canonicalize their points once, so a value that is not a point, a
+    non-finite coordinate included, raises as :func:`as_point` does; a
+    lookup then compares canonical points as they are.
     """
 
     __slots__ = ("points", "_buckets")
@@ -233,7 +237,7 @@ class PointIndex:
         """Positions of every stored point equal to ``as_point(p)``, ascending."""
         p = as_point(p)
         pts = self.points
-        return [i for i in self._buckets.get(_cells(p)[0], ()) if points_equal(p, pts[i])]
+        return [i for i in self._buckets.get(_cells(p)[0], ()) if _points_equal(p, pts[i])]
 
     def find(self, p) -> int | None:
         """Position of the earliest stored point equal to ``p``, if any."""
@@ -245,7 +249,7 @@ class PointIndex:
         cells = _cells(p)
         pts = self.points
         for i in self._buckets.get(cells[0], ()):
-            if points_equal(p, pts[i]):
+            if _points_equal(p, pts[i]):
                 return i
         return self._insert(p, cells)
 

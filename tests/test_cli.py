@@ -355,10 +355,19 @@ def test_long_inline_metric_spec_is_not_taken_for_a_file(tmp_path, capsys):
         ('{"kind": "pullback", "coords": [[0]], "inner": "euclidean"}', "coords"),
         ('{"kind": "max", "of": 5}', "of"),
         ('{"kind": "table", "points": 5, "d": [[0]]}', "points"),
+        # these exited 0: a string or an object read as its characters or keys
+        ('{"kind": "table", "points": "ab", "d": [[0, 2], [2, 0]]}', "points"),
+        ('{"kind": "table", "points": {"a": 0, "b": 1}, "d": [[0, 2], [2, 0]]}', "points"),
+        # and a field the kind does not read was ignored
+        ('{"kind": "euclidean", "cpa": 1}', "cpa"),
+        ('{"kind": "table", "points": ["a", "b"], "d": [[0, 2], [2, 0]], "cap": 1, "of": []}', "of"),
+        ('{"kind": "pullback", "coords": [0], "inner": "euclidean", "points": ["a"]}', "points"),
+        ('{"kind": "max", "of": [{"kind": "euclidean", "inner": "discrete"}]}', "inner"),
+        ('{}', "kind"),
     ],
 )
 def test_malformed_metric_spec_exits_2(capsys, spec, field):
-    # each ended in a TypeError traceback with exit 1
+    # the first five ended in a TypeError traceback with exit 1
     ok = str(FIX / "delta0.json")
     assert main(["dist", ok, ok, "--metric", spec]) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from kantorovich.ground import (
     validate_pseudometric,
 )
 from kantorovich.points import CELL, COORD_TOL, points_equal
+from kantorovich.measures import FiniteMeasure, dirac
+from kantorovich.transport import kantorovich
 
 GEOM_TOL = 1e-12
 
@@ -94,6 +98,21 @@ def test_table_rejects_non_finite_entries():
 def test_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         Euclidean()((0, 0), (1, 2, 3))
+
+
+@pytest.mark.parametrize("metric", [Euclidean(), Manhattan(), Chebyshev()], ids=lambda m: m.kind)
+def test_norm_metrics_name_a_ragged_point_list(metric):
+    # numpy raised "setting an array element with a sequence..."
+    message = f"^{re.escape(f'{metric.kind} metric requires points of one dimension, got (0.0,) and (0.0, 1.0)')}$"
+    # a canonical list as it is, and one canonicalized first
+    for xs, ys in [([(0.0,), (0.0, 1.0)], [(0.0,)]), ([(0.0,)], [(0,), (0, 1)])]:
+        with pytest.raises(ValueError, match=message):
+            metric.pairwise(xs, ys)
+    # a measure may hold atoms of two dimensions, and kantorovich does not
+    # check its support against the space
+    mu = FiniteMeasure([(0.0,), (0.0, 1.0)], [0.5, 0.5])
+    with pytest.raises(ValueError, match=message):
+        kantorovich(GroundSpace([(0.0,), (1.0,)], metric), mu, dirac((1.0,)))
 
 
 def test_cap_must_be_positive_and_not_nan():

@@ -22,6 +22,7 @@ from kantorovich.points import (
     as_point,
     as_points,
     coordinates,
+    distinct_points,
     is_coordinate,
     point_to_json,
     points_equal,
@@ -100,6 +101,28 @@ def test_canonical_point_list_returned_as_is():
     assert as_points(np.array(pts)) == pts
     with pytest.raises(TypeError, match="a boolean is not a point"):
         as_points([(0.0,), True])
+
+
+# entries that take a list of points, each fed the list ``pts``
+POINT_LIST_ENTRIES = {
+    "as_points": as_points,
+    "distinct_points": distinct_points,
+    "PointIndex": PointIndex,
+    "FiniteMeasure": lambda pts: FiniteMeasure(pts, [0.5, 0.5]),
+    "GroundSpace": lambda pts: GroundSpace(pts, Discrete()),
+    "TableMetric": lambda pts: TableMetric(pts, [[0.0, 1.0], [1.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("entry", POINT_LIST_ENTRIES)
+def test_a_string_is_one_label_not_a_list_of_points(entry):
+    # "ab" was read as the labels "a" and "b"
+    make = POINT_LIST_ENTRIES[entry]
+    with pytest.raises(TypeError, match="^expected a list of points, got the string 'ab'$"):
+        make("ab")
+    # a list of the two labels, or of the one label "ab", is fine
+    make(["a", "b"])
+    assert as_points(["ab"]) == ["ab"]
 
 
 _SPACE = GroundSpace([(0.0,), (1.0,)], Discrete())

@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+from kantorovich.ground import metric_from_spec
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -26,3 +28,15 @@ def test_readme_python_examples_run_in_one_namespace(capsys):
     assert namespace["result"].cost == 0.5
     second_order_cost, _ = _run(blocks[1], namespace)
     assert second_order_cost == 1.5
+
+
+def test_readme_metric_specs_load():
+    # a spec field that its kind does not read exits 2, so every spec the
+    # README shows, in a JSON block or on a command line, must load
+    text = README.read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    specs = [line for b in blocks for line in b.splitlines() if line.startswith('{"kind"')]
+    specs += re.findall(r"--metric '(\{.*\})'", text)
+    assert len(specs) == 6
+    for spec in specs:
+        metric_from_spec(spec)
