@@ -36,20 +36,20 @@ class MetricAxiomError(ValueError):
     """A pair or triple of points violates the pseudometric axioms."""
 
 
-def _coord_array(pts: Sequence[Point], kind: str) -> np.ndarray:
-    """Array of a nonempty coordinate point list; canonicalizes only if needed."""
+def _coord_array(pts: Sequence[Point], what: str) -> np.ndarray:
+    """Array of a coordinate point list; canonicalizes only if needed. Errors name ``what``."""
     canon = as_points(pts)
     # a list that is canonical as it is holds only coordinate points
     if canon is not pts:
         bad = [p for p in canon if not is_coordinate(p)]
         if bad:
-            raise ValueError(f"{kind} metric requires coordinate points, got {bad[0]!r}")
+            raise ValueError(f"{what} requires coordinate points, got {bad[0]!r}")
     try:
         return np.array(canon, dtype=float)
     except ValueError:  # numpy's error on a ragged list
         other = next(p for p in canon if len(p) != len(canon[0]))
         raise ValueError(
-            f"{kind} metric requires points of one dimension, got {canon[0]!r} and {other!r}"
+            f"{what} requires points of one dimension, got {canon[0]!r} and {other!r}"
         ) from None
 
 
@@ -100,8 +100,8 @@ class _NormMetric(GroundMetric):
     def pairwise(self, xs, ys):
         if len(xs) == 0 or len(ys) == 0:
             return np.zeros((len(xs), len(ys)))
-        a = _coord_array(xs, self.kind)
-        b = a if ys is xs else _coord_array(ys, self.kind)
+        a = _coord_array(xs, f"{self.kind} metric")
+        b = a if ys is xs else _coord_array(ys, f"{self.kind} metric")
         if a.shape[1] != b.shape[1]:
             raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
         return self._capped(self._norm_matrix(a[:, None, :] - b[None, :, :]))
@@ -381,36 +381,18 @@ def quotient(space: GroundSpace, p: GroundMetric) -> tuple[GroundSpace, Callable
     return GroundSpace([pts[r] for r in reps], p), projection
 
 
-_SIMPLE_KINDS = {
-    "euclidean": Euclidean,
-    "manhattan": Manhattan,
-    "chebyshev": Chebyshev,
-    "discrete": Discrete,
-    "zero": ZeroMetric,
-}
-
-#: The fields each kind of metric spec reads besides ``kind`` and ``cap``.
-_SPEC_FIELDS = {
-    **dict.fromkeys(_SIMPLE_KINDS, ()),
-    "table": ("points", "d"),
-    "pullback": ("coords", "inner"),
-    "max": ("of",),
-}
-
-
 def metric_from_spec(spec) -> GroundMetric:
     """Build a metric from its JSON description.
 
     Accepts a dict (parsed JSON), a JSON string, or a bare kind name such
-    as ``"euclidean"``. Table entries are validated against the
-    pseudometric axioms on load.
+    as ``"euclidean"``, read as ``{"kind": name}``. A kind reads ``cap`` and
+    the fields of its ``_SPEC_KINDS`` row. Table entries are validated
+    against the pseudometric axioms on load.
     """
     if isinstance(spec, str):
         name = spec.strip()
-        if name in _SIMPLE_KINDS:
-            return _SIMPLE_KINDS[name]()
         try:
-            spec = json.loads(name)
+            spec = {"kind": name} if name in _SPEC_KINDS else json.loads(name)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid metric spec {spec!r}: {exc}") from None
     if not isinstance(spec, dict):
@@ -420,32 +402,16 @@ def metric_from_spec(spec) -> GroundMetric:
         raise ValueError("metric spec is missing 'kind'")
     if not isinstance(kind, str):
         raise ValueError(f"metric spec 'kind' must be a string, got {kind!r}")
-    if kind not in _SPEC_FIELDS:
+    if kind not in _SPEC_KINDS:
         raise ValueError(f"unknown metric kind {kind!r}")
+    cls, readers = _SPEC_KINDS[kind]
     for field in spec:
-        if field not in ("kind", "cap", *_SPEC_FIELDS[kind]):
+        if field not in ("kind", "cap", *readers):
             raise ValueError(f"metric spec {field!r}: a {kind} metric spec has no such field")
+    if not readers.keys() <= spec.keys():
+        raise ValueError(f"{kind} metric spec needs " + " and ".join(map(repr, readers)))
     cap = None if spec.get("cap") is None else _spec_field(spec, "cap", json_number)
-    if kind in _SIMPLE_KINDS:
-        return _SIMPLE_KINDS[kind](cap=cap)
-    if kind == "table":
-        if "points" not in spec or "d" not in spec:
-            raise ValueError("table metric spec needs 'points' and 'd'")
-        if not isinstance(spec["points"], list):
-            raise ValueError(f"metric spec 'points' must be a list, got {spec['points']!r}")
-        points = _spec_field(spec, "points", as_points)
-        d = _spec_field(spec, "d", lambda d: np.array([[*map(json_number, r)] for r in d]))
-        return TableMetric(points, d, cap=cap)
-    if kind == "pullback":
-        if "coords" not in spec or "inner" not in spec:
-            raise ValueError("pullback metric spec needs 'coords' and 'inner'")
-        inner = metric_from_spec(spec["inner"])
-        return PullbackMetric(_spec_field(spec, "coords", coordinate_projection), inner, cap=cap)
-    # the one kind left is max
-    if "of" not in spec or not spec["of"]:
-        raise ValueError("max metric spec needs a nonempty 'of' list")
-    parts = _spec_field(spec, "of", lambda of: [metric_from_spec(s) for s in of])
-    return MaxMetric(parts, cap=cap)
+    return cls(*(_spec_field(spec, field, read) for field, read in readers.items()), cap=cap)
 
 
 def _spec_field(spec: dict, name: str, convert: Callable):
@@ -455,3 +421,35 @@ def _spec_field(spec: dict, name: str, convert: Callable):
         return convert(spec[name])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"metric spec '{name}': {exc}") from None
+
+
+def _list_of(read: Callable) -> Callable:
+    """Reader of a nonempty JSON list that reads each entry with ``read``: a
+    string or an object would be read as its characters or keys."""
+
+    def read_list(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError(f"expected a nonempty list, got {value!r}")
+        return [read(v) for v in value]
+
+    return read_list
+
+
+#: Each metric kind a spec may name: its class, and a reader for each field
+#: the class takes besides ``cap``, in argument order.
+_SPEC_KINDS = {
+    cls.kind: (cls, readers)
+    for cls, readers in [
+        (Euclidean, {}),
+        (Manhattan, {}),
+        (Chebyshev, {}),
+        (Discrete, {}),
+        (ZeroMetric, {}),
+        (
+            TableMetric,
+            {"points": _list_of(as_point), "d": lambda d: np.array(_list_of(_list_of(json_number))(d))},
+        ),
+        (PullbackMetric, {"coords": coordinate_projection, "inner": metric_from_spec}),
+        (MaxMetric, {"of": _list_of(metric_from_spec)}),
+    ]
+}

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ground import GroundMetric, GroundSpace, quotient
+from .ground import GroundMetric, GroundSpace, _coord_array, quotient
 from .measures import FiniteMeasure, WEIGHT_TOL, mix, pushforward
 from .points import Point, as_point, coordinates
 from .transport import TransportResult, _transport, kantorovich
@@ -120,7 +120,7 @@ def reweight_series_check(
     combinations must produce the same point. Requires ``λ_m > 0``,
     ``0 < ε_n ≤ 1``, and ``Σ_{n≠m} λ_n/ε_n ≤ 1``.
     """
-    xs = np.array([coordinates(p) for p in points])
+    xs = _coord_array(points, "reweight_series_check")
     lam = np.asarray(lam, dtype=float)
     eps = np.asarray(eps, dtype=float)
     n = len(xs)

@@ -364,6 +364,14 @@ def test_long_inline_metric_spec_is_not_taken_for_a_file(tmp_path, capsys):
         ('{"kind": "pullback", "coords": [0], "inner": "euclidean", "points": ["a"]}', "points"),
         ('{"kind": "max", "of": [{"kind": "euclidean", "inner": "discrete"}]}', "inner"),
         ('{}', "kind"),
+        # an object was read as its keys and exited 0; a string was read as
+        # its characters, and the message named no list
+        ('{"kind": "max", "of": {"euclidean": 1}}', "of"),
+        ('{"kind": "max", "of": "euclidean"}', "of"),
+        ('{"kind": "table", "points": ["a", "b"], "d": [{"a": 0}, {"b": 0}]}', "d"),
+        ('{"kind": "table", "points": [], "d": []}', "points"),
+        # an error inside the inner spec named no field
+        ('{"kind": "pullback", "coords": [0], "inner": {"kind": "nope"}}', "inner"),
     ],
 )
 def test_malformed_metric_spec_exits_2(capsys, spec, field):
@@ -472,7 +480,7 @@ PULLBACK = '{"kind": "pullback", "coords": %s, "inner": {"kind": "euclidean"}}'
         ),
         (
             ["dist", "mu01", "eta12", "--metric", '{"kind": "max", "of": []}'],
-            "max metric spec needs a nonempty 'of' list",
+            "metric spec 'of': expected a nonempty list, got []",
         ),
         (
             ["lift", "mu_r2a", "mu_r2b", "--metric", PULLBACK % "[]"],
@@ -486,13 +494,18 @@ PULLBACK = '{"kind": "pullback", "coords": %s, "inner": {"kind": "euclidean"}}'
             ["lift", "label_a", "label_b", "--metric", PULLBACK % "[0]"],
             "cannot project non-coordinate point 'a'",
         ),
+        (
+            ["dist", "label_a", "label_b", "--metric", "table"],
+            "table metric spec needs 'points' and 'd'",
+        ),
         (["dist", "no_atoms", "delta0"], "measure JSON needs a nonempty 'atoms' list"),
         (["dist", "no_w", "delta0"], "atom 0 must be an object with 'point' and 'w'"),
     ],
     ids=[
         "input-not-json", "metric-not-object", "metric-without-kind", "table-without-d",
         "table-d-wrong-shape", "pullback-without-inner", "max-of-nothing", "no-coords",
-        "coord-out-of-range", "lift-labels-under-pullback", "no-atoms", "atom-without-w",
+        "coord-out-of-range", "lift-labels-under-pullback", "bare-table", "no-atoms",
+        "atom-without-w",
     ],
 )
 def test_rejected_input_exits_2_naming_the_invariant(tmp_path, capsys, argv, message):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -455,6 +456,8 @@ def test_ground_space_invariants():
     space = GroundSpace([(0, 0), (3, 4), (1, 1)], Euclidean())
     assert space.diameter() == pytest.approx(5.0, abs=GEOM_TOL)
     assert (3.0, 4.0) in space and (9.0, 9.0) not in space
+    assert list(space) == [(0.0, 0.0), (3.0, 4.0), (1.0, 1.0)]
+    assert repr(space) == "<GroundSpace 3 points, metric='euclidean'>"
 
 
 def test_ground_space_needs_a_point():
@@ -512,6 +515,39 @@ COORD_PTS = [(0.0, 0.0), (0.25, 1.0), (3.0, 4.0), (0.25, -2.0)]
 LABEL_PTS = ["a", "b", "c"]
 PRODUCT_PTS = [((0.0,), "a"), ((1.0,), "b"), ((1.0,), "a")]
 LABEL_TABLE = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.5], [2.0, 1.5, 0.0]]
+
+
+def test_every_spec_kind_loads_to_the_metric_built_directly():
+    # each row: a spec, the metric built directly, and points it is defined on
+    table = {"points": LABEL_PTS, "d": LABEL_TABLE}
+    rows = [
+        ({"kind": "euclidean"}, Euclidean(), COORD_PTS),
+        ({"kind": "manhattan"}, Manhattan(), COORD_PTS),
+        ({"kind": "chebyshev"}, Chebyshev(), COORD_PTS),
+        ({"kind": "discrete"}, Discrete(), LABEL_PTS),
+        ({"kind": "zero"}, ZeroMetric(), COORD_PTS),
+        ({"kind": "table", **table}, TableMetric(LABEL_PTS, LABEL_TABLE), LABEL_PTS),
+        (
+            {"kind": "pullback", "coords": [1], "inner": {"kind": "manhattan"}},
+            PullbackMetric(coordinate_projection([1]), Manhattan()),
+            COORD_PTS,
+        ),
+        (
+            {"kind": "max", "of": ["euclidean", {"kind": "chebyshev", "cap": 2.0}]},
+            MaxMetric([Euclidean(), Chebyshev(cap=2.0)]),
+            COORD_PTS,
+        ),
+        ({"kind": "table", **table, "cap": 1.25}, TableMetric(LABEL_PTS, LABEL_TABLE, cap=1.25), LABEL_PTS),
+    ]
+    assert {spec["kind"] for spec, _, _ in rows} == set(ground._SPEC_KINDS)
+    for spec, metric, pts in rows:
+        forms = [spec, json.dumps(spec)]
+        if spec.keys() == {"kind"}:
+            forms.append(spec["kind"])
+        for form in forms:
+            loaded = metric_from_spec(form)
+            assert type(loaded) is type(metric) and loaded.cap == metric.cap
+            assert loaded.pairwise(pts, pts).tobytes() == metric.pairwise(pts, pts).tobytes(), form
 
 
 def _builtin_metrics(cap):

@@ -237,6 +237,14 @@ def test_reweight_identity_rejects_non_finite_entries():
         reweight_series_check([(0.0, 0.0), (np.inf, 0.0)], [0.5, 0.5], 0, [1.0, 1.0])
 
 
+def test_reweight_identity_names_points_of_two_dimensions():
+    # numpy raised "setting an array element with a sequence..."
+    message = r"^reweight_series_check requires points of one dimension, got \(0\.0,\) and \(0\.0, 1\.0\)$"
+    for pts in ([(0.0,), (0.0, 1.0)], [(0,), (0, 1)]):
+        with pytest.raises(ValueError, match=message):
+            reweight_series_check(pts, [0.5, 0.5], 0, [1.0, 1.0])
+
+
 def test_second_order_distance_rejects_measures_of_points():
     space = GroundSpace([(0.0,), (1.0,)], Euclidean())
     with pytest.raises(TypeError, match="^M must be a measure of measures"):
