@@ -53,6 +53,13 @@ class MeasureIndex(PointIndex):
             pts = self.points
             yield from (i for i in self._buckets.get(len(m), ()) if measures_equal(m, pts[i]))
 
+    def find(self, m) -> int | None:
+        """Position of the earliest stored measure equal to ``m``, if any."""
+        return next(self.matches(m), None)
+
+    # a measure is its own canonical form
+    find_canonical = find
+
     def find_or_add(self, m) -> int:
         i = self.find(m)
         return self._insert(m, (len(m),)) if i is None else i
@@ -99,9 +106,10 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
         else:
             totals[p] = wi
             slots.append(index.find_or_add(p))
-    # bincount adds in input order from 0.0, as a running sum would
-    merged = np.bincount(slots, weights=list(totals.values()), minlength=len(index.points))
-    return index, merged.astype(float, copy=False)
+    merged = [0.0] * len(index.points)
+    for slot, total in zip(slots, totals.values()):
+        merged[slot] += total
+    return index, np.array(merged)
 
 
 class SubProbabilityMeasure:

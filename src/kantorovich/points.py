@@ -207,10 +207,12 @@ class PointIndex:
     own key: two equal points in neighbouring cells both lie within
     ``COORD_TOL`` of their shared edge. A lookup reads that one bucket and
     returns what a scan over the stored points with :func:`points_equal`
-    would return, in the same order. The constructor and the lookups
-    canonicalize their points once, so a value that is not a point, a
-    non-finite coordinate included, raises as :func:`as_point` does; a
-    lookup then compares canonical points as they are.
+    would return, in the same order. The constructor, :meth:`matches` and
+    :meth:`find` canonicalize their points once, so a value that is not a
+    point, a non-finite coordinate included, raises as :func:`as_point`
+    does; :meth:`find_canonical` and :meth:`find_or_add` take canonical
+    points and do not check them. A lookup compares canonical points as they
+    are, and one that returns a single position stops at its first match.
     """
 
     __slots__ = ("points", "_buckets")
@@ -240,18 +242,28 @@ class PointIndex:
         return [i for i in self._buckets.get(_cells(p)[0], ()) if _points_equal(p, pts[i])]
 
     def find(self, p) -> int | None:
-        """Position of the earliest stored point equal to ``p``, if any."""
-        return next(iter(self.matches(p)), None)
+        """Position of the earliest stored point equal to ``as_point(p)``, if any."""
+        return self.find_canonical(as_point(p))
+
+    def find_canonical(self, p: Point) -> int | None:
+        """Position of the earliest stored point equal to ``p``, if any;
+        ``p`` must be canonical and is not checked."""
+        return self._first(p, _cells(p)[0])
 
     def find_or_add(self, p: Point) -> int:
         """Position of the earliest stored point equal to ``p``, which must
         be canonical and is not checked; stores ``p`` first when there is none."""
         cells = _cells(p)
+        i = self._first(p, cells[0])
+        return self._insert(p, cells) if i is None else i
+
+    def _first(self, p: Point, key: Hashable) -> int | None:
+        """The first position in bucket ``key`` whose point equals ``p``."""
         pts = self.points
-        for i in self._buckets.get(cells[0], ()):
+        for i in self._buckets.get(key, ()):
             if _points_equal(p, pts[i]):
                 return i
-        return self._insert(p, cells)
+        return None
 
 
 def distinct_points(points: Iterable[Point]) -> list[Point]:

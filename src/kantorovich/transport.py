@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import inf, isfinite
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -328,7 +329,8 @@ def kantorovich(space: GroundSpace, mu: FiniteMeasure, eta: FiniteMeasure) -> Tr
     Mass that both measures put on one atom stays in place: for a
     pseudometric the distance depends only on ``mu - eta``, so the shared
     mass ``min(mu(x), eta(x))`` of an atom ``x`` in both supports (equal as
-    atoms merge within one measure) need not move, and the simplex solves only
+    atoms merge within one measure, found by looking each atom of ``mu`` up
+    in the index ``eta`` holds) need not move, and the simplex solves only
     the rows and columns left with mass. The assembled plan is certified
     in O(mn) by the residual solve's dual potentials, extended to the whole
     problem (:func:`_plan_around_shared_mass`). When the certificate fails
@@ -359,33 +361,51 @@ def _plan_around_shared_mass(
     atom's common mass on its diagonal cell and solves the rest, or
     ``None`` when the supports share no atom, when a cost is not finite,
     when no side or only one is left with mass to move, or when the
-    certificate fails. Atoms are shared as they merge in a measure, through
-    ``eta.index_of``; a column that two rows equal goes to the later row."""
-    shared = {j: i for i, x in enumerate(mu.support) if (j := eta.index_of(x)) is not None}
-    if not shared or not np.isfinite(C).all():
+    certificate fails. Each atom of ``mu``, canonical already, is looked up
+    as it is in ``eta``'s own index, so atoms are shared as they merge in a
+    measure; a column that two rows equal goes to the later row. The
+    bookkeeping runs on Python floats, cheaper than numpy calls on a few
+    cells."""
+    find = eta._index.find_canonical
+    shared = {j: i for i, x in enumerate(mu.support) if (j := find(x)) is not None}
+    if not shared:
+        return None
+    rows = C.tolist()
+    entries = [*itertools.chain.from_iterable(rows)]
+    if not all(map(isfinite, entries)):
         return None  # the full solve reports a non-finite cost
-    j, i = np.array([*shared.items()]).T
-    a, b = mu.weights.copy(), eta.weights.copy()
-    kept = np.minimum(a[i], b[j])
-    a[i] -= kept
-    b[j] -= kept
-    R, S = (a > 0.0).nonzero()[0], (b > 0.0).nonzero()[0]
-    if not len(R) or not len(S):
+    a, b = mu.weights.tolist(), eta.weights.tolist()
+    kept = [(i, j, min(a[i], b[j])) for j, i in shared.items()]
+    for i, j, t in kept:
+        a[i] -= t
+        b[j] -= t
+    R = [i for i, w in enumerate(a) if w > 0.0]
+    S = [j for j, w in enumerate(b) if w > 0.0]
+    if not R or not S:
         return None
     # the rows R by the columns S, as np.ix_(R, S) would index them
-    cut = R[:, None], S
-    _, residual, _, v_S = solve_transport(C[cut], a[R], b[S])
+    cut = np.array(R)[:, None], S
+    _, residual, _, v_S = solve_transport(C[cut], [a[i] for i in R], [b[j] for j in S])
     gamma = np.zeros(C.shape)
-    gamma[i, j] = kept
+    for i, j, t in kept:
+        gamma[i, j] = t
     gamma[cut] = residual
-    # dual potentials of the whole problem with no negative reduced cost
-    u = (C[:, S] - v_S).min(axis=1)
-    v = (C - u[:, None]).min(axis=0)
+    u, v = _potentials_around(rows, S, v_S.tolist())
     cost = float((gamma * C).sum())
-    gap = cost - float(mu.weights @ u + eta.weights @ v)
-    if not gap <= REDUCED_COST_TOL * max(1.0, float(np.abs(C).max())):
+    gap = cost - (sum(map(mul, mu.weights.tolist(), u)) + sum(map(mul, eta.weights.tolist(), v)))
+    if not gap <= REDUCED_COST_TOL * max(1.0, max(map(abs, entries))):
         return None
     return cost, gamma
+
+
+def _potentials_around(rows: list, S: list, v_S: list) -> tuple[list, list]:
+    """Dual potentials of the whole problem with cost rows ``rows``, from the
+    potentials ``v_S`` of the residual's columns ``S``: u_i = min over j in
+    S of (c_ij - v_j), then v_j = min over i of (c_ij - u_i), so that no
+    reduced cost is negative."""
+    u = [min(map(sub, [r[j] for j in S], v_S)) for r in rows]
+    v = [min(map(sub, col, u)) for col in zip(*rows)]
+    return u, v
 
 
 def independent_coupling(mu: FiniteMeasure, eta: FiniteMeasure) -> Coupling:

@@ -170,7 +170,8 @@ def test_merged_atoms_match_the_quadratic_scan(data):
 
 
 def test_merged_atoms_are_float64_when_empty():
-    # np.bincount of no slots counts in int64
+    # with no atom kept, the weights are an empty float64 array, of the
+    # dtype every other merge returns
     for pts, w in (([], []), ([(0.0,), (1.0,)], [0.0, 0.0])):
         index, merged = _merged_atoms(pts, w)
         assert index.points == [] and merged.dtype == np.float64 and merged.shape == (0,)

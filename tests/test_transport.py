@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import permutation_oracle, spanning_tree_bases, vertex_enumeration_oracle
 
-from kantorovich import run_law_suite, transport
+from kantorovich import points, run_law_suite, transport
 from kantorovich.ground import (
     Chebyshev,
     Discrete,
@@ -783,6 +783,63 @@ def test_a_column_that_two_rows_equal_is_shared_once(monkeypatch):
     assert r.coupling.check_marginals(mu, eta)
     C = cost_matrix(space, mu.support, eta.support)
     assert abs(r.cost - solve_transport(C, mu.weights, eta.weights)[0]) <= COST_TOL
+
+
+def test_the_cut_looks_up_the_atoms_of_mu_without_canonicalising_them(monkeypatch):
+    # mu's atoms are canonical already, so the cut's lookups in eta's index
+    # make no as_point call; (1e-13, 0) is another float than (0, 0) but
+    # lies within COORD_TOL of it, so their common mass is still shared
+    space = GroundSpace(_NEAR, Euclidean())
+    mu = FiniteMeasure(_NEAR[:3], [0.5, 0.25, 0.25])
+    eta = FiniteMeasure([(1e-13, 0.0), *_NEAR[3:]], [0.25, 0.5, 0.25])
+    assert mu.support[0] != eta.support[0]
+    C = cost_matrix(space, mu.support, eta.support)
+    calls = 0
+    original = points.as_point
+
+    def counting(p):
+        nonlocal calls
+        calls += 1
+        return original(p)
+
+    monkeypatch.setattr(points, "as_point", counting)
+    cost, gamma = transport._plan_around_shared_mass(C, mu, eta)
+    assert calls == 0
+    assert gamma[0, 0] == 0.25
+    assert abs(cost - solve_transport(C, mu.weights, eta.weights)[0]) <= COST_TOL
+    # the public lookup canonicalises its query, so the count is not vacuous
+    assert eta.index_of(mu.support[0]) == 0 and calls == 1
+
+
+@pytest.mark.parametrize("metric", [Euclidean(), Manhattan(cap=0.5)], ids=lambda metric: metric.kind)
+def test_the_cut_potentials_are_the_numpy_minima_bit_for_bit(monkeypatch, metric):
+    # the cut's certificate potentials are Python floats, and numpy's
+    # minima over the same cells are their reference, bit for bit; random
+    # pairs up to 32x32 are drawn from an 8x8 grid, so that they share atoms
+    seen = []
+    original = transport._potentials_around
+
+    def recorded(rows, S, v_S):
+        u, v = original(rows, S, v_S)
+        seen.append((np.array(rows), S, np.array(v_S), u, v))
+        return u, v
+
+    monkeypatch.setattr(transport, "_potentials_around", recorded)
+    rng = np.random.default_rng(17)
+    grid = [(i / 8, j / 8) for i in range(8) for j in range(8)]
+    space = GroundSpace(grid, metric)
+    for m, n in [(3, 3), (3, 5), (5, 4), (8, 8), (12, 20), (24, 16), (32, 32)] * 4:
+        mu, eta = (
+            FiniteMeasure([grid[k] for k in rng.choice(64, size, replace=False)], rng.dirichlet(np.ones(size)))
+            for size in (m, n)
+        )
+        kantorovich(space, mu, eta)
+    # small pairs may share no atom and take no cut; the 32x32 ones always do
+    assert len(seen) >= 12 and max(C.shape for C, *_ in seen) == (32, 32)
+    for C, S, v_S, u, v in seen:
+        u_np = (C[:, S] - v_S).min(axis=1)
+        assert np.array(u).tobytes() == u_np.tobytes()
+        assert np.array(v).tobytes() == (C - u_np[:, None]).min(axis=0).tobytes()
 
 
 def test_two_atoms_a_side_take_the_closed_form_whole_under_a_broken_triangle(monkeypatch):
