@@ -20,7 +20,7 @@ from .ground import GroundSpace, metric_from_spec
 from .laws import run_law_suite
 from .measures import WEIGHT_TOL, measure_from_json, measure_to_json, second_order_from_json
 from .monad import ConvexSpace, barycenter, flatten, lifted_pseudometric, second_order_distance
-from .points import distinct_points, point_to_json
+from .points import PointIndex, point_to_json
 from .transport import kantorovich
 
 
@@ -44,8 +44,14 @@ def _resolve_metric(spec: str):
 
 
 def _space_for(metric, *measures) -> GroundSpace:
-    pts = [p for mu in measures for p in mu.support]
-    return GroundSpace(distinct_points(pts), metric)
+    """The space of the distinct atoms of ``measures``, in order of first
+    appearance: one index, filled under the keys the measures' own
+    indexes hold, serves as the space's."""
+    index = PointIndex()
+    for mu in measures:
+        for p, cells in zip(mu.support, mu._index.cells):
+            index.find_or_add(p, cells)
+    return GroundSpace._of_index(index, metric)
 
 
 def _emit(payload) -> str:

@@ -37,20 +37,28 @@ class MetricAxiomError(ValueError):
 
 
 def _coord_array(pts: Sequence[Point], what: str) -> np.ndarray:
-    """Array of a coordinate point list; canonicalizes only if needed. Errors name ``what``."""
+    """Array of a coordinate point list; canonicalizes only if needed. Errors name ``what``.
+
+    Canonical coordinate points of one dimension are the lists that numpy
+    reads as a 2-D float array, so the conversion is the check; a label, a
+    product point or a ragged list leaves it for the scan that names the
+    first offending point.
+    """
     canon = as_points(pts)
-    # a list that is canonical as it is holds only coordinate points
-    if canon is not pts:
-        bad = [p for p in canon if not is_coordinate(p)]
-        if bad:
-            raise ValueError(f"{what} requires coordinate points, got {bad[0]!r}")
-    try:
+    if not canon:
         return np.array(canon, dtype=float)
-    except ValueError:  # numpy's error on a ragged list
-        other = next(p for p in canon if len(p) != len(canon[0]))
-        raise ValueError(
-            f"{what} requires points of one dimension, got {canon[0]!r} and {other!r}"
-        ) from None
+    try:
+        # numpy reads an exact tuple faster than a PointTuple
+        arr = np.array(tuple(canon))
+    except ValueError:  # numpy's error on a ragged list or mixed shapes
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.dtype == np.float64:
+        return arr
+    bad = [p for p in canon if not is_coordinate(p)]
+    if bad:
+        raise ValueError(f"{what} requires coordinate points, got {bad[0]!r}")
+    other = next(p for p in canon if len(p) != len(canon[0]))
+    raise ValueError(f"{what} requires points of one dimension, got {canon[0]!r} and {other!r}")
 
 
 class GroundMetric:
@@ -265,6 +273,15 @@ def coordinate_projection(indices: Sequence[int]) -> Callable[[Point], Point]:
     return project
 
 
+def _check_space_points(pts: Sequence[Point]) -> None:
+    """Reject an empty point list, or coordinate points of two dimensions."""
+    if not pts:
+        raise ValueError("a ground space needs at least one point")
+    dims = {len(p) for p in pts if is_coordinate(p)}
+    if len(dims) > 1:
+        raise ValueError(f"coordinate points must share one dimension, got {sorted(dims)}")
+
+
 class GroundSpace:
     """A finite point set with a bounded (pseudo)metric.
 
@@ -275,14 +292,22 @@ class GroundSpace:
     """
 
     def __init__(self, points: Iterable, metric: GroundMetric):
-        pts = tuple(as_points(points))
-        if not pts:
-            raise ValueError("a ground space needs at least one point")
-        dims = {len(p) for p in pts if is_coordinate(p)}
-        if len(dims) > 1:
-            raise ValueError(f"coordinate points must share one dimension, got {sorted(dims)}")
-        self._index = _distinct_index(pts, "ground space points must be unique")
-        self.points = pts
+        pts = as_points(points)
+        _check_space_points(pts)
+        self._store(_distinct_index(pts, "ground space points must be unique"), metric)
+
+    @classmethod
+    def _of_index(cls, index: PointIndex, metric: GroundMetric) -> GroundSpace:
+        """The space of the points of ``index``, which must be distinct and
+        canonical, kept as the space's own index."""
+        _check_space_points(index.points)
+        space = cls.__new__(cls)
+        space._store(index, metric)
+        return space
+
+    def _store(self, index: PointIndex, metric: GroundMetric) -> None:
+        self._index = index
+        self.points = index.frozen()
         self.metric = metric
 
     def diameter(self) -> float:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
+from itertools import repeat
 from math import inf, isfinite
+from operator import add
 
 import numpy as np
 
@@ -36,6 +38,36 @@ from .points import (
 WEIGHT_TOL = 1e-9
 
 
+def pairwise_sum(xs: list) -> float:
+    """``float(np.sum(xs))`` of a list of floats, bit for bit, without
+    building an array: numpy's order of additions (pairwise summation).
+    Fewer than 8 numbers are added in order; up to 128, in 8 interleaved
+    running sums that are then added in pairs, the rest in order; more
+    are split into halves, the first a multiple of 8 long, summed apart.
+    The sum starts from 0.0, so an all-negative-zero sum reads 0.0."""
+    return 0.0 + _pairwise(xs)
+
+
+def _pairwise(xs: list) -> float:
+    n = len(xs)
+    if n < 8:
+        total = 0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(xs[:half]) + _pairwise(xs[half:])
+    end = n - n % 8
+    r = xs[:8]
+    for i in range(8, end, 8):
+        r = list(map(add, r, xs[i : i + 8]))
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        total += x
+    return total
+
+
 class PartitionError(ValueError):
     """Cells overlap on the support or fail to cover it."""
 
@@ -47,22 +79,32 @@ class MeasureIndex(PointIndex):
 
     __slots__ = ()
 
+    def frozen(self) -> tuple:
+        """The stored measures, as a plain tuple: measures are not points,
+        so this is no :class:`PointTuple`."""
+        return tuple(self.points)
+
     def matches(self, m) -> Iterator[int]:
         """Positions of every stored measure equal to ``m``, ascending, lazily."""
         if isinstance(m, SubProbabilityMeasure):
-            pts = self.points
-            yield from (i for i in self._buckets.get(len(m), ()) if measures_equal(m, pts[i]))
+            yield from self._matching(m, len(m))
+
+    def _matching(self, m, key) -> Iterator[int]:
+        pts = self.points
+        return (i for i in self._buckets.get(key, ()) if measures_equal(m, pts[i]))
 
     def find(self, m) -> int | None:
         """Position of the earliest stored measure equal to ``m``, if any."""
         return next(self.matches(m), None)
 
-    # a measure is its own canonical form
-    find_canonical = find
+    def _first(self, m, key) -> int | None:
+        return next(self._matching(m, key), None)
 
-    def find_or_add(self, m) -> int:
-        i = self.find(m)
-        return self._insert(m, (len(m),)) if i is None else i
+    def find_or_add(self, m, cells: tuple | None = None) -> int:
+        if cells is None:
+            cells = (len(m),)
+        i = self._first(m, cells[0])
+        return self._insert(m, cells) if i is None else i
 
 
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
@@ -72,8 +114,9 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
     included), on weights that are not 1-D, on a count mismatch, on mixed
     atom kinds, on a non-finite weight, then on a negative weight.
     """
-    # a string stays whole, for as_points to reject: a label is one point
-    atoms = atoms if isinstance(atoms, str) else list(atoms)
+    # a string stays whole, for as_points to reject: a label is one point;
+    # a tuple stays too, so that as_points takes a PointTuple as it is
+    atoms = atoms if isinstance(atoms, (str, tuple)) else list(atoms)
     # the atom kind is decided once, by the first atom
     of_measures = bool(atoms) and isinstance(atoms[0], FiniteMeasure)
     pts = atoms if of_measures else as_points(atoms)
@@ -89,23 +132,30 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
         raise ValueError(f"{len(pts)} atoms but {len(ws)} weights")
     if of_measures and not all(isinstance(m, FiniteMeasure) for m in pts):
         raise TypeError("atoms must be all points or all finite measures")
+    return _merge(MeasureIndex() if of_measures else PointIndex(), pts, None, ws)
+
+
+def _merge(index: PointIndex, atoms: Sequence, cells, ws: list) -> tuple[PointIndex, np.ndarray]:
+    """``index``, empty, with the canonical ``atoms`` of positive weight
+    merged into it, and their merged weights. ``cells`` holds each atom's
+    bucket keys as the index of its measure keeps them, or is ``None``.
+    Raises on a non-finite weight, then on a negative weight."""
     if not all(map(isfinite, ws)):
         raise ValueError("non-finite weight")
     if ws and min(ws) < 0.0:
         raise ValueError("negative weight")
     # exact duplicates add up first; then each distinct atom, in order of
     # first appearance, adds its total to the earliest kept atom it equals
-    index = MeasureIndex() if of_measures else PointIndex()
     totals: dict = {}
     slots: list[int] = []
-    for p, wi in zip(pts, ws):
+    for p, c, wi in zip(atoms, repeat(None) if cells is None else cells, ws):
         if wi == 0.0:
             continue
         if p in totals:
             totals[p] += wi
         else:
             totals[p] = wi
-            slots.append(index.find_or_add(p))
+            slots.append(index.find_or_add(p, c))
     merged = [0.0] * len(index.points)
     for slot, total in zip(slots, totals.values()):
         merged[slot] += total
@@ -128,7 +178,7 @@ class SubProbabilityMeasure:
 
     def _store(self, index: PointIndex, w: np.ndarray) -> None:
         self._index = index
-        self._support = tuple(index.points)
+        self._support = index.frozen()
         w.setflags(write=False)
         self._weights = w
 
@@ -175,10 +225,13 @@ class FiniteMeasure(SubProbabilityMeasure):
     def __init__(self, atoms: Iterable, weights, *, mass_tol: float = WEIGHT_TOL):
         if not 0.0 <= mass_tol < inf:
             raise ValueError(f"mass_tol must be a finite nonnegative number, got {mass_tol!r}")
-        index, w = _merged_atoms(atoms, weights)
+        self._settle(*_merged_atoms(atoms, weights), mass_tol)
+
+    def _settle(self, index: PointIndex, w: np.ndarray, mass_tol: float) -> None:
+        """Check the merged weights ``w`` of ``index`` and store them renormalized."""
         if len(w) == 0:
             raise ValueError("measure needs at least one atom of positive weight")
-        total = float(w.sum())
+        total = pairwise_sum(w.tolist())
         if abs(total - 1.0) > mass_tol:
             raise ValueError(f"weights sum to {total:.12g}, expected 1")
         if total != 1.0:  # dividing by 1.0 changes no weight
@@ -208,21 +261,34 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
 
     ``parts`` pairs each measure with a nonnegative weight; the weights
     must sum to 1 within ``WEIGHT_TOL``. Zero-weight parts are skipped and
-    :class:`FiniteMeasure` checks the scaled atom weights, so a bad part
-    weight raises its ``non-finite weight``, ``negative weight`` or
-    ``weights sum to ..., expected 1``.
+    the scaled atom weights are checked as :class:`FiniteMeasure` checks
+    them, so a bad part weight raises its ``non-finite weight``,
+    ``negative weight`` or ``weights sum to ..., expected 1``. The parts'
+    atoms are canonical already and merge under the bucket keys their
+    measures' indexes hold.
     """
     if not parts:
         raise ValueError("mix needs at least one part")
     atoms: list = []
+    cells: list = []
     weights: list[float] = []
+    kinds = set()
     for t, mu in parts:
         t = float(t)
         if t == 0.0:
             continue
         atoms.extend(mu.support)
+        cells.extend(mu._index.cells)
         weights.extend([t * w for w in mu.weights.tolist()])
-    return FiniteMeasure(atoms, weights)
+        kinds.add(type(mu._index))
+    if len(kinds) > 1:
+        # points and measures together: the constructor raises on them
+        return FiniteMeasure(atoms, weights)
+    # a new, empty index of the parts' kind
+    index = kinds.pop()() if kinds else PointIndex()
+    mixed = FiniteMeasure.__new__(FiniteMeasure)
+    mixed._settle(*_merge(index, atoms, cells, weights), WEIGHT_TOL)
+    return mixed
 
 
 def restrict(mu: SubProbabilityMeasure, predicate: Callable[[Point], bool]):
@@ -300,8 +366,8 @@ def _matched_atoms(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure):
     used = [False] * len(eta)
     # atoms of different kinds never match
     index = eta._index if type(eta._index) is type(mu._index) else MeasureIndex()
-    for p in mu.support:
-        for j in index.matches(p):
+    for p, cells in zip(mu.support, mu._index.cells):
+        for j in index._matching(p, cells[0]):
             if not used[j]:
                 used[j] = True
                 break

@@ -19,6 +19,15 @@ pushforwards of float coordinates produce near-duplicates.
 :class:`PointIndex` finds tolerant matches through hash buckets instead of
 a scan over every stored point: a point near a cell edge is filed under
 each neighbouring cell too, so a lookup reads one bucket.
+
+A point is checked once and then handed on in its canonical form. The
+points an index holds come back from :meth:`PointIndex.frozen` as a
+:class:`PointTuple`, which only this module builds, and :func:`as_points`
+returns one as it is, without a pass over its coordinates: a measure's
+support and a space's points are such tuples. An index keeps the bucket
+keys of every point it stores (:attr:`PointIndex.cells`), so a lookup or
+merge that starts from a stored point passes them on instead of deriving
+them again.
 """
 
 from __future__ import annotations
@@ -77,11 +86,22 @@ def _finite(p: tuple) -> tuple:
     raise ValueError(f"coordinates must be finite, got {p!r}")
 
 
+class PointTuple(tuple):
+    """A tuple of canonical points, which :meth:`PointIndex.frozen` alone
+    builds; :func:`as_points` returns it as it is. It adds no field, so it
+    takes the memory of a plain tuple."""
+
+    __slots__ = ()
+
+
 def as_points(pts: Iterable) -> Sequence[Point]:
-    """``pts`` itself when it is a list or tuple of nonempty tuples of
-    finite floats, of exactly those types, which :func:`as_point` returns
-    as they are; else the list of its entries through :func:`as_point`.
-    A string raises ``TypeError``: a label is one point, not a list."""
+    """``pts`` itself when it is a :class:`PointTuple`, or a list or tuple
+    of nonempty tuples of finite floats, of exactly those types, which
+    :func:`as_point` returns as they are; else the list of its entries
+    through :func:`as_point`. A string raises ``TypeError``: a label is one
+    point, not a list."""
+    if type(pts) is PointTuple:
+        return pts
     if (
         type(pts) in (list, tuple)
         and _TUPLE.issuperset(map(type, pts))
@@ -210,22 +230,34 @@ class PointIndex:
     would return, in the same order. The constructor, :meth:`matches` and
     :meth:`find` canonicalize their points once, so a value that is not a
     point, a non-finite coordinate included, raises as :func:`as_point`
-    does; :meth:`find_canonical` and :meth:`find_or_add` take canonical
-    points and do not check them. A lookup compares canonical points as they
+    does; :meth:`find_or_add` takes canonical points and does not check
+    them. A lookup compares canonical points as they
     are, and one that returns a single position stops at its first match.
+
+    ``cells[i]`` is ``_cells(points[i])``, kept from insertion. A lookup of
+    a point that another index stores passes that index's keys on
+    (:meth:`find_or_add` with ``cells``, :meth:`_first` and
+    :meth:`_matching` with the own key ``cells[0]``), so no key is derived
+    twice.
     """
 
-    __slots__ = ("points", "_buckets")
+    __slots__ = ("points", "cells", "_buckets")
 
     def __init__(self, points: Iterable[Point] | None = None):
         self.points: list[Point] = []
+        self.cells: list[tuple] = []
         self._buckets: dict[Hashable, list[int]] = {}
         for p in () if points is None else as_points(points):
             self._insert(p, _cells(p))
 
+    def frozen(self) -> PointTuple:
+        """The stored points, as a :class:`PointTuple`."""
+        return PointTuple(self.points)
+
     def _insert(self, p: Point, cells: tuple) -> int:
         i = len(self.points)
         self.points.append(p)
+        self.cells.append(cells)
         buckets = self._buckets
         for key in cells:
             bucket = buckets.get(key)
@@ -238,27 +270,31 @@ class PointIndex:
     def matches(self, p) -> list[int]:
         """Positions of every stored point equal to ``as_point(p)``, ascending."""
         p = as_point(p)
+        return self._matching(p, _cells(p)[0])
+
+    def _matching(self, p: Point, key: Hashable) -> list[int]:
+        """Positions in bucket ``key``, the own key of the canonical ``p``,
+        whose points equal ``p``."""
         pts = self.points
-        return [i for i in self._buckets.get(_cells(p)[0], ()) if _points_equal(p, pts[i])]
+        return [i for i in self._buckets.get(key, ()) if _points_equal(p, pts[i])]
 
     def find(self, p) -> int | None:
         """Position of the earliest stored point equal to ``as_point(p)``, if any."""
-        return self.find_canonical(as_point(p))
-
-    def find_canonical(self, p: Point) -> int | None:
-        """Position of the earliest stored point equal to ``p``, if any;
-        ``p`` must be canonical and is not checked."""
+        p = as_point(p)
         return self._first(p, _cells(p)[0])
 
-    def find_or_add(self, p: Point) -> int:
+    def find_or_add(self, p: Point, cells: tuple | None = None) -> int:
         """Position of the earliest stored point equal to ``p``, which must
-        be canonical and is not checked; stores ``p`` first when there is none."""
-        cells = _cells(p)
+        be canonical and is not checked; stores ``p`` first when there is none.
+        ``cells``, when given, is ``_cells(p)`` as another index keeps it."""
+        if cells is None:
+            cells = _cells(p)
         i = self._first(p, cells[0])
         return self._insert(p, cells) if i is None else i
 
     def _first(self, p: Point, key: Hashable) -> int | None:
-        """The first position in bucket ``key`` whose point equals ``p``."""
+        """The first position in bucket ``key``, the own key of the
+        canonical ``p``, whose point equals ``p``."""
         pts = self.points
         for i in self._buckets.get(key, ()):
             if _points_equal(p, pts[i]):

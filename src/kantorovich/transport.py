@@ -361,13 +361,10 @@ def _plan_around_shared_mass(
     atom's common mass on its diagonal cell and solves the rest, or
     ``None`` when the supports share no atom, when a cost is not finite,
     when no side or only one is left with mass to move, or when the
-    certificate fails. Each atom of ``mu``, canonical already, is looked up
-    as it is in ``eta``'s own index, so atoms are shared as they merge in a
-    measure; a column that two rows equal goes to the later row. The
-    bookkeeping runs on Python floats, cheaper than numpy calls on a few
-    cells."""
-    find = eta._index.find_canonical
-    shared = {j: i for i, x in enumerate(mu.support) if (j := find(x)) is not None}
+    certificate fails. The shared atoms are those of
+    :func:`_shared_atoms`. The bookkeeping runs on Python floats, cheaper
+    than numpy calls on a few cells."""
+    shared = _shared_atoms(mu, eta)
     if not shared:
         return None
     rows = C.tolist()
@@ -396,6 +393,17 @@ def _plan_around_shared_mass(
     if not gap <= REDUCED_COST_TOL * max(1.0, max(map(abs, entries))):
         return None
     return cost, gamma
+
+
+def _shared_atoms(mu: FiniteMeasure, eta: FiniteMeasure) -> dict[int, int]:
+    """``{j: i}``: atom ``i`` of ``mu`` equals atom ``j`` of ``eta``, the
+    earliest atom of ``eta`` it equals, as atoms merge within one measure;
+    a column that two rows equal goes to the later row. Each atom of ``mu``,
+    canonical already, is looked up as it is in ``eta``'s own index, under
+    the bucket key that ``mu``'s index keeps for it."""
+    first = eta._index._first
+    atoms = zip(mu.support, mu._index.cells)
+    return {j: i for i, (x, cells) in enumerate(atoms) if (j := first(x, cells[0])) is not None}
 
 
 def _potentials_around(rows: list, S: list, v_S: list) -> tuple[list, list]:

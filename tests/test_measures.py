@@ -17,6 +17,7 @@ from kantorovich.measures import (
     measure_to_json,
     measures_equal,
     mix,
+    pairwise_sum,
     pushforward,
     restrict,
     second_order_from_json,
@@ -310,3 +311,15 @@ def test_measure_json_round_trip():
         measure_from_json({"weights": [1.0]})
     with pytest.raises(ValueError, match="sum"):
         measure_from_json({"atoms": [{"point": [0], "w": 0.7}]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 2**32 - 1))
+def test_pairwise_sum_is_numpys_sum_bit_for_bit(n, seed):
+    # construction renormalizes by this sum, so it must be numpy's to the
+    # bit: magnitudes far apart, both signs and negative zeros, so that
+    # another order of additions would round differently
+    rng = np.random.default_rng(seed)
+    xs = rng.choice([-1.0, 1.0], n) * rng.random(n) * 10.0 ** rng.integers(-300, 17, n)
+    xs[rng.random(n) < 0.1] = -0.0
+    assert np.float64(pairwise_sum(xs.tolist())).tobytes() == xs.sum().tobytes()

@@ -6,15 +6,25 @@ they return, including which atom wins when several are within tolerance.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kantorovich import points
-from kantorovich.measures import FiniteMeasure, _merged_atoms, measure_deviation, measures_equal
+from kantorovich import points, transport
+from kantorovich.ground import Euclidean, GroundSpace
+from kantorovich.measures import (
+    FiniteMeasure,
+    _merged_atoms,
+    measure_deviation,
+    measures_equal,
+    mix,
+)
+from kantorovich.monad import flatten
 from kantorovich.points import CELL, COORD_TOL, PointIndex, as_point, distinct_points, points_equal
+from kantorovich.transport import cost_matrix, kantorovich
 
 
 def ref_merged_atoms(atoms, weights):
@@ -158,15 +168,69 @@ def point_lists(draw, min_size=1, max_size=30):
 weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
 
 
+@st.composite
+def merge_cases(draw):
+    """Atoms, their weights, and the positions that cut them into parts."""
+    pts = draw(point_lists())
+    w = draw(st.lists(weight, min_size=len(pts), max_size=len(pts)))
+    return pts, w, sorted(draw(st.lists(st.integers(0, len(pts)), max_size=3)))
+
+
+def ref_shared_atoms(mu, eta):
+    # the cut's rule as a scan: each atom of mu takes the earliest atom of
+    # eta it equals, and a later row takes over an earlier row's column
+    shared = {}
+    for i, x in enumerate(mu.support):
+        j = next((j for j, y in enumerate(eta.support) if points_equal(x, y)), None)
+        if j is not None:
+            shared[j] = i
+    return shared
+
+
+def _same_measure(a, b):
+    return a.support == b.support and a.weights.tobytes() == b.weights.tobytes()
+
+
+# two atoms within COORD_TOL on either side of the cell edge at CELL / 2
+_BELOW, _ABOVE = CELL / 2 - 0.4 * COORD_TOL, CELL / 2 + 0.4 * COORD_TOL
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_merged_atoms_match_the_quadratic_scan(data):
-    pts = data.draw(point_lists())
-    w = data.draw(st.lists(weight, min_size=len(pts), max_size=len(pts)))
+@given(merge_cases())
+@example(([(_BELOW,), (2.0,), (_ABOVE,)], [0.3, 0.3, 0.4], [1]))
+@example((["a", "b", "a", "c"], [0.1, 0.2, 0.3, 0.4], [2]))
+@example(([("a", (_BELOW, 1.0)), ("b", (0.0, 0.0)), ("a", (_ABOVE, 1.0))], [0.5, 0.2, 0.3], [1, 2]))
+def test_merged_atoms_match_the_quadratic_scan(case):
+    pts, w, cuts = case
     index, merged = _merged_atoms(pts, w)
     support, expected = ref_merged_atoms(pts, w)
     assert index.points == support
     assert merged.tobytes() == expected.tobytes()
+    # the paths that hand on the bucket keys an index keeps: each part of
+    # positive weight is a measure, and mix, flatten and the cut's lookups
+    # must give what fresh keys give
+    bounds = [0, *cuts, len(pts)]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        total = sum(w[lo:hi])
+        if total > 0.0:
+            parts.append(FiniteMeasure(pts[lo:hi], [x / total for x in w[lo:hi]]))
+    if not parts:
+        return
+    t = 1.0 / len(parts)
+    fresh = FiniteMeasure(
+        [p for mu in parts for p in mu.support], [t * x for mu in parts for x in mu.weights.tolist()]
+    )
+    assert _same_measure(mix([(t, mu) for mu in parts]), fresh)
+    M = FiniteMeasure(parts, [t] * len(parts))
+    inner = [(mu, float(s)) for mu, s in M.items()]
+    fresh = FiniteMeasure(
+        [p for mu, _ in inner for p in mu.support], [s * x for mu, s in inner for x in mu.weights.tolist()]
+    )
+    assert _same_measure(flatten(M), fresh)
+    for mu in parts:
+        for eta in parts:
+            assert transport._shared_atoms(mu, eta) == ref_shared_atoms(mu, eta)
 
 
 def test_merged_atoms_are_float64_when_empty():
@@ -263,6 +327,62 @@ def test_merging_distinct_points_makes_linearly_many_comparisons(monkeypatch):
     assert len(index.points) == n
     # the index compares through _points_equal, so the count is not vacuous
     assert 1 <= calls <= 2 * n  # the scan it replaced makes about n * n / 2
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """The argument tuples of every call of ``module.name`` from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _grid_measures():
+    space = GroundSpace([(float(i), float(j)) for i in range(3) for j in range(3)], Euclidean())
+    mu = FiniteMeasure(space.points[:5], [0.1, 0.2, 0.3, 0.2, 0.2])
+    eta = FiniteMeasure(space.points[3:], [0.25, 0.25, 0.2, 0.1, 0.1, 0.1])
+    return space, mu, eta
+
+
+def test_a_cost_matrix_of_two_supports_makes_no_validation_pass(monkeypatch):
+    # a support is canonical by construction, so no coordinate is checked again
+    space, mu, eta = _grid_measures()
+    checked = _count_calls(monkeypatch, points, "isfinite")
+    canonicalized = _count_calls(monkeypatch, points, "as_point")
+    C = cost_matrix(space, mu.support, eta.support)
+    assert (checked, canonicalized) == ([], [])
+    # the same points in plain lists are checked, so the count is not vacuous
+    assert (cost_matrix(space, list(mu.support), list(eta.support)) == C).all()
+    assert checked
+
+
+def test_a_support_takes_the_memory_of_a_plain_tuple():
+    # a coupling keeps both supports, so a support may weigh no more than a tuple
+    space, mu, eta = _grid_measures()
+    coupling = kantorovich(space, mu, eta).coupling
+    for pts in (mu.support, space.points, coupling.rows, coupling.cols):
+        assert sys.getsizeof(pts) == sys.getsizeof(tuple(pts))
+
+
+def test_flatten_reuses_the_bucket_keys_its_parts_hold(monkeypatch):
+    # every atom of a part is indexed already, near duplicates across the
+    # parts included, so merging them derives no bucket key
+    a = FiniteMeasure([(_BELOW,), (1.0,), (2.0,)], [0.2, 0.3, 0.5])
+    b = FiniteMeasure([(_ABOVE,), (2.0,), "x"], [0.5, 0.25, 0.25])
+    M = FiniteMeasure([a, b], [0.5, 0.5])
+    cells = _count_calls(monkeypatch, points, "_cells")
+    flat = flatten(M)
+    assert cells == []
+    assert flat.support == ((_BELOW,), (1.0,), (2.0,), "x")
+    # the constructor derives the keys of the same atoms, so the count is not vacuous
+    atoms = [*a.support, *b.support]
+    assert _same_measure(FiniteMeasure(atoms, [0.1, 0.15, 0.25, 0.25, 0.125, 0.125]), flat)
+    assert cells
 
 
 def test_a_lookup_reads_only_the_bucket_of_its_own_cell(monkeypatch):

@@ -786,29 +786,35 @@ def test_a_column_that_two_rows_equal_is_shared_once(monkeypatch):
 
 
 def test_the_cut_looks_up_the_atoms_of_mu_without_canonicalising_them(monkeypatch):
-    # mu's atoms are canonical already, so the cut's lookups in eta's index
-    # make no as_point call; (1e-13, 0) is another float than (0, 0) but
-    # lies within COORD_TOL of it, so their common mass is still shared
+    # mu's atoms are canonical already, and mu's index keeps their bucket
+    # keys, so the cut's lookups in eta's index make no as_point and no
+    # _cells call; (1e-13, 0) is another float than (0, 0) but lies within
+    # COORD_TOL of it, so their common mass is still shared
     space = GroundSpace(_NEAR, Euclidean())
     mu = FiniteMeasure(_NEAR[:3], [0.5, 0.25, 0.25])
     eta = FiniteMeasure([(1e-13, 0.0), *_NEAR[3:]], [0.25, 0.5, 0.25])
     assert mu.support[0] != eta.support[0]
     C = cost_matrix(space, mu.support, eta.support)
-    calls = 0
-    original = points.as_point
+    calls = {"as_point": 0, "_cells": 0}
 
-    def counting(p):
-        nonlocal calls
-        calls += 1
-        return original(p)
+    def counting(name):
+        original = getattr(points, name)
 
-    monkeypatch.setattr(points, "as_point", counting)
+        def counted(p):
+            calls[name] += 1
+            return original(p)
+
+        monkeypatch.setattr(points, name, counted)
+
+    counting("as_point")
+    counting("_cells")
     cost, gamma = transport._plan_around_shared_mass(C, mu, eta)
-    assert calls == 0
+    assert calls == {"as_point": 0, "_cells": 0}
     assert gamma[0, 0] == 0.25
     assert abs(cost - solve_transport(C, mu.weights, eta.weights)[0]) <= COST_TOL
-    # the public lookup canonicalises its query, so the count is not vacuous
-    assert eta.index_of(mu.support[0]) == 0 and calls == 1
+    # the public lookup canonicalises its query and derives its key, so the
+    # counts are not vacuous
+    assert eta.index_of(mu.support[0]) == 0 and calls == {"as_point": 1, "_cells": 1}
 
 
 @pytest.mark.parametrize("metric", [Euclidean(), Manhattan(cap=0.5)], ids=lambda metric: metric.kind)
