@@ -45,12 +45,12 @@ def _resolve_metric(spec: str):
 
 def _space_for(metric, *measures) -> GroundSpace:
     """The space of the distinct atoms of ``measures``, in order of first
-    appearance: one index, filled under the keys the measures' own
-    indexes hold, serves as the space's."""
+    appearance: one index, filled with the measures' canonical atoms as
+    they are, serves as the space's."""
     index = PointIndex()
     for mu in measures:
-        for p, cells in zip(mu.support, mu._index.cells):
-            index.find_or_add(p, cells)
+        for p in mu.support:
+            index.find_or_add(p)
     return GroundSpace._of_index(index, metric)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import repeat
 from math import inf, isfinite
 from operator import add
 
@@ -87,24 +86,22 @@ class MeasureIndex(PointIndex):
     def matches(self, m) -> Iterator[int]:
         """Positions of every stored measure equal to ``m``, ascending, lazily."""
         if isinstance(m, SubProbabilityMeasure):
-            yield from self._matching(m, len(m))
+            yield from self._matching(m)
 
-    def _matching(self, m, key) -> Iterator[int]:
+    def _matching(self, m) -> Iterator[int]:
         pts = self.points
-        return (i for i in self._buckets.get(key, ()) if measures_equal(m, pts[i]))
+        return (i for i in self._buckets.get(len(m), ()) if measures_equal(m, pts[i]))
 
     def find(self, m) -> int | None:
         """Position of the earliest stored measure equal to ``m``, if any."""
         return next(self.matches(m), None)
 
-    def _first(self, m, key) -> int | None:
-        return next(self._matching(m, key), None)
+    def _first(self, m) -> int | None:
+        return next(self._matching(m), None)
 
-    def find_or_add(self, m, cells: tuple | None = None) -> int:
-        if cells is None:
-            cells = (len(m),)
-        i = self._first(m, cells[0])
-        return self._insert(m, cells) if i is None else i
+    def find_or_add(self, m) -> int:
+        i = self._first(m)
+        return self._insert(m, (len(m),)) if i is None else i
 
 
 def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
@@ -132,14 +129,13 @@ def _merged_atoms(atoms: Iterable, weights) -> tuple[PointIndex, np.ndarray]:
         raise ValueError(f"{len(pts)} atoms but {len(ws)} weights")
     if of_measures and not all(isinstance(m, FiniteMeasure) for m in pts):
         raise TypeError("atoms must be all points or all finite measures")
-    return _merge(MeasureIndex() if of_measures else PointIndex(), pts, None, ws)
+    return _merge(MeasureIndex() if of_measures else PointIndex(), pts, ws)
 
 
-def _merge(index: PointIndex, atoms: Sequence, cells, ws: list) -> tuple[PointIndex, np.ndarray]:
+def _merge(index: PointIndex, atoms: Sequence, ws: list) -> tuple[PointIndex, np.ndarray]:
     """``index``, empty, with the canonical ``atoms`` of positive weight
-    merged into it, and their merged weights. ``cells`` holds each atom's
-    bucket keys as the index of its measure keeps them, or is ``None``.
-    Raises on a non-finite weight, then on a negative weight."""
+    merged into it, and their merged weights. Raises on a non-finite
+    weight, then on a negative weight."""
     if not all(map(isfinite, ws)):
         raise ValueError("non-finite weight")
     if ws and min(ws) < 0.0:
@@ -148,14 +144,14 @@ def _merge(index: PointIndex, atoms: Sequence, cells, ws: list) -> tuple[PointIn
     # first appearance, adds its total to the earliest kept atom it equals
     totals: dict = {}
     slots: list[int] = []
-    for p, c, wi in zip(atoms, repeat(None) if cells is None else cells, ws):
+    for p, wi in zip(atoms, ws):
         if wi == 0.0:
             continue
         if p in totals:
             totals[p] += wi
         else:
             totals[p] = wi
-            slots.append(index.find_or_add(p, c))
+            slots.append(index.find_or_add(p))
     merged = [0.0] * len(index.points)
     for slot, total in zip(slots, totals.values()):
         merged[slot] += total
@@ -264,13 +260,11 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
     the scaled atom weights are checked as :class:`FiniteMeasure` checks
     them, so a bad part weight raises its ``non-finite weight``,
     ``negative weight`` or ``weights sum to ..., expected 1``. The parts'
-    atoms are canonical already and merge under the bucket keys their
-    measures' indexes hold.
+    atoms are canonical already and merge without a second check.
     """
     if not parts:
         raise ValueError("mix needs at least one part")
     atoms: list = []
-    cells: list = []
     weights: list[float] = []
     kinds = set()
     for t, mu in parts:
@@ -278,7 +272,6 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
         if t == 0.0:
             continue
         atoms.extend(mu.support)
-        cells.extend(mu._index.cells)
         weights.extend([t * w for w in mu.weights.tolist()])
         kinds.add(type(mu._index))
     if len(kinds) > 1:
@@ -287,7 +280,7 @@ def mix(parts: Sequence[tuple[float, FiniteMeasure]]) -> FiniteMeasure:
     # a new, empty index of the parts' kind
     index = kinds.pop()() if kinds else PointIndex()
     mixed = FiniteMeasure.__new__(FiniteMeasure)
-    mixed._settle(*_merge(index, atoms, cells, weights), WEIGHT_TOL)
+    mixed._settle(*_merge(index, atoms, weights), WEIGHT_TOL)
     return mixed
 
 
@@ -366,8 +359,8 @@ def _matched_atoms(mu: SubProbabilityMeasure, eta: SubProbabilityMeasure):
     used = [False] * len(eta)
     # atoms of different kinds never match
     index = eta._index if type(eta._index) is type(mu._index) else MeasureIndex()
-    for p, cells in zip(mu.support, mu._index.cells):
-        for j in index._matching(p, cells[0]):
+    for p in mu.support:
+        for j in index._matching(p):
             if not used[j]:
                 used[j] = True
                 break

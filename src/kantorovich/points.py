@@ -24,14 +24,16 @@ A point is checked once and then handed on in its canonical form. The
 points an index holds come back from :meth:`PointIndex.frozen` as a
 :class:`PointTuple`, which only this module builds, and :func:`as_points`
 returns one as it is, without a pass over its coordinates: a measure's
-support and a space's points are such tuples. An index keeps the bucket
-keys of every point it stores (:attr:`PointIndex.cells`), so a lookup or
-merge that starts from a stored point passes them on instead of deriving
-them again.
+support and a space's points are such tuples. :func:`_cells` remembers
+the bucket keys of the points it keyed last, so a point that is looked up
+again and again is keyed once, and no caller hands keys on. The memo is a
+bounded ``functools.lru_cache``, which is thread-safe: concurrent lookups
+may key a point twice, never wrongly.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, product
 from math import floor, isfinite
 from typing import Any, Hashable, Iterable, Sequence, Union
@@ -182,14 +184,19 @@ _SCALE = 1.0 / CELL
 _NEAR_EDGE = 0.5 - 2 * COORD_TOL * _SCALE
 
 
+@lru_cache(maxsize=256)
 def _cells(p: Point) -> tuple:
     """Keys of every bucket that may hold a point within ``COORD_TOL`` of
-    ``p``, the key of ``p``'s own bucket first.
+    the canonical ``p``, the key of ``p``'s own bucket first.
 
     A coordinate point's own key is its coordinates rounded to multiples of
     ``CELL``; a coordinate within ``2 * COORD_TOL`` of a cell edge adds the
     neighbouring cell across that edge. A label is its own key, and a
     product point's keys are the products of its entries' keys.
+
+    The keys of the 256 points keyed last are remembered. The memo finds a
+    point by ``==``, under which only 0.0 and -0.0 are equal and different
+    floats, and the two have the same keys.
     """
     if isinstance(p, str):
         return (p,)
@@ -233,19 +240,12 @@ class PointIndex:
     does; :meth:`find_or_add` takes canonical points and does not check
     them. A lookup compares canonical points as they
     are, and one that returns a single position stops at its first match.
-
-    ``cells[i]`` is ``_cells(points[i])``, kept from insertion. A lookup of
-    a point that another index stores passes that index's keys on
-    (:meth:`find_or_add` with ``cells``, :meth:`_first` and
-    :meth:`_matching` with the own key ``cells[0]``), so no key is derived
-    twice.
     """
 
-    __slots__ = ("points", "cells", "_buckets")
+    __slots__ = ("points", "_buckets")
 
     def __init__(self, points: Iterable[Point] | None = None):
         self.points: list[Point] = []
-        self.cells: list[tuple] = []
         self._buckets: dict[Hashable, list[int]] = {}
         for p in () if points is None else as_points(points):
             self._insert(p, _cells(p))
@@ -257,7 +257,6 @@ class PointIndex:
     def _insert(self, p: Point, cells: tuple) -> int:
         i = len(self.points)
         self.points.append(p)
-        self.cells.append(cells)
         buckets = self._buckets
         for key in cells:
             bucket = buckets.get(key)
@@ -269,34 +268,27 @@ class PointIndex:
 
     def matches(self, p) -> list[int]:
         """Positions of every stored point equal to ``as_point(p)``, ascending."""
-        p = as_point(p)
-        return self._matching(p, _cells(p)[0])
+        return self._matching(as_point(p))
 
-    def _matching(self, p: Point, key: Hashable) -> list[int]:
-        """Positions in bucket ``key``, the own key of the canonical ``p``,
-        whose points equal ``p``."""
+    def _matching(self, p: Point) -> list[int]:
+        """Positions of every stored point equal to the canonical ``p``."""
         pts = self.points
-        return [i for i in self._buckets.get(key, ()) if _points_equal(p, pts[i])]
+        return [i for i in self._buckets.get(_cells(p)[0], ()) if _points_equal(p, pts[i])]
 
     def find(self, p) -> int | None:
         """Position of the earliest stored point equal to ``as_point(p)``, if any."""
-        p = as_point(p)
-        return self._first(p, _cells(p)[0])
+        return self._first(as_point(p))
 
-    def find_or_add(self, p: Point, cells: tuple | None = None) -> int:
+    def find_or_add(self, p: Point) -> int:
         """Position of the earliest stored point equal to ``p``, which must
-        be canonical and is not checked; stores ``p`` first when there is none.
-        ``cells``, when given, is ``_cells(p)`` as another index keeps it."""
-        if cells is None:
-            cells = _cells(p)
-        i = self._first(p, cells[0])
-        return self._insert(p, cells) if i is None else i
+        be canonical and is not checked; stores ``p`` first when there is none."""
+        i = self._first(p)
+        return self._insert(p, _cells(p)) if i is None else i
 
-    def _first(self, p: Point, key: Hashable) -> int | None:
-        """The first position in bucket ``key``, the own key of the
-        canonical ``p``, whose point equals ``p``."""
+    def _first(self, p: Point) -> int | None:
+        """The first position whose point equals the canonical ``p``."""
         pts = self.points
-        for i in self._buckets.get(key, ()):
+        for i in self._buckets.get(_cells(p)[0], ()):
             if _points_equal(p, pts[i]):
                 return i
         return None

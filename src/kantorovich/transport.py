@@ -14,7 +14,8 @@ place, solve the rest, and certify the assembled plan with dual
 potentials.
 
 Solver state is confined to each invocation; concurrent calls on shared
-immutable inputs are safe.
+immutable inputs are safe: the one memo they share, in :mod:`points`, is
+a thread-safe ``lru_cache``.
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def solve_transport(
         raise ValueError("cost matrix shape does not match the weight vectors")
     if m == 0 or n == 0:
         raise ValueError("weight vectors must be nonempty")
-    # the checks read Python floats: on a few cells, numpy's per-call cost
+    # the checks read Python floats: on a few entries, numpy's per-call cost
     # outweighs its loop
     rows = C.tolist()
     if not all(map(isfinite, itertools.chain.from_iterable(rows))):
@@ -363,7 +364,7 @@ def _plan_around_shared_mass(
     when no side or only one is left with mass to move, or when the
     certificate fails. The shared atoms are those of
     :func:`_shared_atoms`. The bookkeeping runs on Python floats, cheaper
-    than numpy calls on a few cells."""
+    than numpy calls on a few entries."""
     shared = _shared_atoms(mu, eta)
     if not shared:
         return None
@@ -399,11 +400,9 @@ def _shared_atoms(mu: FiniteMeasure, eta: FiniteMeasure) -> dict[int, int]:
     """``{j: i}``: atom ``i`` of ``mu`` equals atom ``j`` of ``eta``, the
     earliest atom of ``eta`` it equals, as atoms merge within one measure;
     a column that two rows equal goes to the later row. Each atom of ``mu``,
-    canonical already, is looked up as it is in ``eta``'s own index, under
-    the bucket key that ``mu``'s index keeps for it."""
+    canonical already, is looked up as it is in ``eta``'s own index."""
     first = eta._index._first
-    atoms = zip(mu.support, mu._index.cells)
-    return {j: i for i, (x, cells) in enumerate(atoms) if (j := first(x, cells[0])) is not None}
+    return {j: i for i, x in enumerate(mu.support) if (j := first(x)) is not None}
 
 
 def _potentials_around(rows: list, S: list, v_S: list) -> tuple[list, list]:

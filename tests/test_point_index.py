@@ -206,9 +206,10 @@ def test_merged_atoms_match_the_quadratic_scan(case):
     support, expected = ref_merged_atoms(pts, w)
     assert index.points == support
     assert merged.tobytes() == expected.tobytes()
-    # the paths that hand on the bucket keys an index keeps: each part of
-    # positive weight is a measure, and mix, flatten and the cut's lookups
-    # must give what fresh keys give
+    # the paths that merge or look up atoms keyed before, whose bucket keys
+    # the memo of points._cells answers: each part of positive weight is a
+    # measure, and mix, flatten and the cut's lookups must give what the
+    # constructor and a scan give
     bounds = [0, *cuts, len(pts)]
     parts = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -369,20 +370,22 @@ def test_a_support_takes_the_memory_of_a_plain_tuple():
         assert sys.getsizeof(pts) == sys.getsizeof(tuple(pts))
 
 
-def test_flatten_reuses_the_bucket_keys_its_parts_hold(monkeypatch):
-    # every atom of a part is indexed already, near duplicates across the
-    # parts included, so merging them derives no bucket key
+def test_flatten_reuses_the_bucket_keys_its_parts_hold():
+    # every atom of a part was keyed when its part was built, near
+    # duplicates across the parts included, so merging them computes no
+    # bucket key: each is a hit in the memo of points._cells
     a = FiniteMeasure([(_BELOW,), (1.0,), (2.0,)], [0.2, 0.3, 0.5])
     b = FiniteMeasure([(_ABOVE,), (2.0,), "x"], [0.5, 0.25, 0.25])
     M = FiniteMeasure([a, b], [0.5, 0.5])
-    cells = _count_calls(monkeypatch, points, "_cells")
+    computed = points._cells.cache_info().misses
     flat = flatten(M)
-    assert cells == []
+    assert points._cells.cache_info().misses == computed
     assert flat.support == ((_BELOW,), (1.0,), (2.0,), "x")
-    # the constructor derives the keys of the same atoms, so the count is not vacuous
-    atoms = [*a.support, *b.support]
-    assert _same_measure(FiniteMeasure(atoms, [0.1, 0.15, 0.25, 0.25, 0.125, 0.125]), flat)
-    assert cells
+    # with the memo emptied, the same merge computes the keys of its five
+    # distinct atoms, so the count is not vacuous
+    points._cells.cache_clear()
+    assert _same_measure(flatten(M), flat)
+    assert points._cells.cache_info().misses == 5
 
 
 def test_a_lookup_reads_only_the_bucket_of_its_own_cell(monkeypatch):
@@ -403,6 +406,38 @@ def test_a_lookup_reads_only_the_bucket_of_its_own_cell(monkeypatch):
     monkeypatch.setattr(points, "_points_equal", counting)
     assert index.matches(q) == [0]
     assert calls == 1  # a scan of b's bucket too would make 2
+
+
+def _zero_sign_flipped(p):
+    """``p`` with the sign of each zero coordinate flipped: a point equal to
+    ``p`` under ``==`` and another float wherever ``p`` has a zero."""
+    if isinstance(p, str):
+        return p
+    if isinstance(p[0], float):
+        return tuple(-x if x == 0.0 else x for x in p)
+    return tuple(map(_zero_sign_flipped, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_lists())
+@example([(0.0,), (-0.0, 1.0)])
+@example([(-0.0,), (0.0, -0.0)])
+@example([(_BELOW,), (_ABOVE, 0.0), (CELL / 2 - 2 * COORD_TOL,), (-CELL / 2 + 1.9 * COORD_TOL, -0.0)])
+@example([(1.5e302, 0.0), (-1.5e302, -0.0), (2.0**40, 1.5e302)])
+@example(["a", ("b", (0.0, -0.0)), ((-0.0,), (CELL / 2, 0.0))])
+def test_remembered_bucket_keys_are_the_keys_of_the_point(pts):
+    # the memo finds a point by ==, so an equal point keyed first, 0.0
+    # against -0.0, may answer for it: both must have the same keys
+    assert points._cells.cache_info().maxsize is not None
+    for p in pts:
+        twin = _zero_sign_flipped(p)
+        assert twin == p
+        points._cells.cache_clear()
+        expected = points._cells.__wrapped__(p)
+        assert points._cells.__wrapped__(twin) == expected
+        points._cells.cache_clear()
+        points._cells(twin)
+        assert points._cells(p) == expected
 
 
 def test_huge_finite_coordinates_still_index():

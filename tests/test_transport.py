@@ -786,35 +786,37 @@ def test_a_column_that_two_rows_equal_is_shared_once(monkeypatch):
 
 
 def test_the_cut_looks_up_the_atoms_of_mu_without_canonicalising_them(monkeypatch):
-    # mu's atoms are canonical already, and mu's index keeps their bucket
-    # keys, so the cut's lookups in eta's index make no as_point and no
-    # _cells call; (1e-13, 0) is another float than (0, 0) but lies within
-    # COORD_TOL of it, so their common mass is still shared
+    # mu's atoms are canonical already, and their bucket keys were computed
+    # when mu was built, so the cut's lookups in eta's index make no
+    # as_point call and compute no key; (1e-13, 0) is another float than
+    # (0, 0) but lies within COORD_TOL of it, so their common mass is still
+    # shared
     space = GroundSpace(_NEAR, Euclidean())
     mu = FiniteMeasure(_NEAR[:3], [0.5, 0.25, 0.25])
     eta = FiniteMeasure([(1e-13, 0.0), *_NEAR[3:]], [0.25, 0.5, 0.25])
     assert mu.support[0] != eta.support[0]
     C = cost_matrix(space, mu.support, eta.support)
-    calls = {"as_point": 0, "_cells": 0}
+    canonicalised = 0
+    as_point = points.as_point
 
-    def counting(name):
-        original = getattr(points, name)
+    def counted(p):
+        nonlocal canonicalised
+        canonicalised += 1
+        return as_point(p)
 
-        def counted(p):
-            calls[name] += 1
-            return original(p)
-
-        monkeypatch.setattr(points, name, counted)
-
-    counting("as_point")
-    counting("_cells")
+    monkeypatch.setattr(points, "as_point", counted)
+    computed = points._cells.cache_info().misses
     cost, gamma = transport._plan_around_shared_mass(C, mu, eta)
-    assert calls == {"as_point": 0, "_cells": 0}
+    assert (canonicalised, points._cells.cache_info().misses - computed) == (0, 0)
     assert gamma[0, 0] == 0.25
     assert abs(cost - solve_transport(C, mu.weights, eta.weights)[0]) <= COST_TOL
-    # the public lookup canonicalises its query and derives its key, so the
-    # counts are not vacuous
-    assert eta.index_of(mu.support[0]) == 0 and calls == {"as_point": 1, "_cells": 1}
+    # the public lookup canonicalises its query, and with the memo emptied
+    # the cut computes the keys of mu's three atoms, so the counts are not
+    # vacuous
+    assert eta.index_of(mu.support[0]) == 0 and canonicalised == 1
+    points._cells.cache_clear()
+    assert transport._plan_around_shared_mass(C, mu, eta)[0] == cost
+    assert points._cells.cache_info().misses == 3
 
 
 @pytest.mark.parametrize("metric", [Euclidean(), Manhattan(cap=0.5)], ids=lambda metric: metric.kind)
